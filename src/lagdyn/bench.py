@@ -438,36 +438,6 @@ class PredictionBundle:
         return out
 
 
-def _particle_side(spec, dt, horizon, n_real, seed):
-    ens = sim.generate_ensemble(spec, dt=dt, t_f=horizon, n_real=n_real,
-                                base_seed=seed)
-    return ens.displacement
-
-
-def _field_side(spec, dt, horizon, n_real, seed, node):
-    series = sim.simulate_field_rows(spec, dt, horizon, n_real, seed,
-                                     rows=[node])
-    return series
-
-
-def _simulate_side(spec, dt, horizon, n_real, seed, node):
-    """Displacement series (n_real, n_curves, n_times) of one system.
-
-    Returns (series, failed_step): on divergence the series is re-run up
-    to the last stable step (None when not even one step completed).
-    """
-    runner = _field_side if spec.kind == "spde" else _particle_side
-    args = (dt, horizon, n_real, seed)
-    extra = (node,) if spec.kind == "spde" else ()
-    try:
-        return runner(spec, *args, *extra), None
-    except SimulationDivergedError as exc:
-        last_ok = (exc.step or 1) - 1
-        if last_ok < 1:
-            return None, exc.step
-        return runner(spec, dt, last_ok * dt, n_real, seed, *extra), exc.step
-
-
 def prediction_comparison(
     true_spec: sim.SystemSpec,
     eom: discovery.EquationsOfMotion,
@@ -509,33 +479,37 @@ def prediction_comparison(
     pred_spec = discovered_spec(true_spec, eom)
     if true_spec.kind == "spde":
         labels = (f"u{report_node}",)
+        simulate, rows = sim.simulate_field_rows, [report_node]
     else:
         labels = tuple(eom.coordinates)
+        simulate, rows = sim.simulate_rows, range(true_spec.dim)
 
-    truth, truth_fail = _simulate_side(true_spec, dt, horizon, n_real,
-                                       base_seed, report_node)
-    pred, pred_fail = _simulate_side(pred_spec, dt, horizon, n_real,
-                                     base_seed, report_node)
+    # One batch steps both sides on one noise draw and stops at the first
+    # divergence of either.
     diverged = None
     diverged_step = None
-    if truth_fail is not None:
-        diverged, diverged_step = "truth", truth_fail
-    if pred_fail is not None and (diverged_step is None
-                                  or pred_fail < diverged_step):
-        diverged, diverged_step = "discovered", pred_fail
-
-    length = min(s.shape[2] if s is not None else 1 for s in (truth, pred))
+    failed: set[int] = set()
+    try:
+        series = simulate(true_spec, dt, horizon, n_real, base_seed, rows=rows,
+                          partners=(pred_spec,))
+    except SimulationDivergedError as exc:
+        series = exc.partial[0]
+        diverged_step = exc.step
+        failed = {k // n_real for k in exc.realizations}
+        diverged = "truth" if 0 in failed else "discovered"
+    truth, pred = series.reshape((2, n_real) + series.shape[1:])
+    length = series.shape[2]
     times = np.arange(length) * dt
 
-    def stats(series):
-        if series is None:
+    def stats(side, samples):
+        # A side that fails on the first step has no samples to average.
+        if diverged_step == 1 and side in failed:
             zeros = np.zeros((len(labels), length))
             return zeros, zeros
-        cut = series[:, :, :length]
-        return cut.mean(axis=0), 2.0 * cut.std(axis=0)
+        return samples.mean(axis=0), 2.0 * samples.std(axis=0)
 
-    truth_mean, truth_2s = stats(truth)
-    pred_mean, pred_2s = stats(pred)
+    truth_mean, truth_2s = stats(0, truth)
+    pred_mean, pred_2s = stats(1, pred)
     return PredictionBundle(
         system=true_spec.name,
         labels=labels,
@@ -641,11 +615,6 @@ def field_energy_series(
     )
     kinetic = 0.5 * (w[:, None] * velocity**2).sum(axis=0)
     return kinetic + potential
-
-
-def _field_density_text(head: str, label: str, coeff: float) -> str:
-    body = discovery.format_terms((head,), {label: coeff})
-    return body
 
 
 # ---------------------------------------------------------------------------
@@ -856,10 +825,10 @@ def run_benchmark(
             stiff_true = sign * pooled_true[stiff_label]
             stiff_disc = sign * pooled_disc.get(stiff_label, 0.0)
             density_label = "(u_x)^2" if stiff_label == "uxx" else "(u_xx)^2"
-            ham_true_text = _field_density_text(
-                "0.5*ut^2", density_label, 0.5 * stiff_true)
-            ham_disc_text = _field_density_text(
-                "0.5*ut^2", density_label, 0.5 * stiff_disc)
+            ham_true_text = discovery.format_terms(
+                ("0.5*ut^2",), {density_label: 0.5 * stiff_true})
+            ham_disc_text = discovery.format_terms(
+                ("0.5*ut^2",), {density_label: 0.5 * stiff_disc})
         else:
             ham_true = discovery.legendre_transform(lag_true)
             ham_disc = discovery.legendre_transform(lag)

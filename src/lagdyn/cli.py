@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -33,13 +34,26 @@ _EXIT_BY_CODE = {
 }
 
 
+# (field, accepted type, lower bound, bound excluded) of the numeric settings
+# that reach the simulator unchecked.
+_NUMERIC_RANGES = (
+    ("seed", int, None, False),
+    ("n_real", int, 1, False),
+    ("dt", (int, float), 0, True),
+    ("t_f", (int, float), 0, True),
+    ("prediction_n_real", int, 1, False),
+    ("prediction_factor", (int, float), 1, False),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Settings shared by the subcommands.
 
     Every field is optional; unset fields fall back to per-benchmark
     defaults. A JSON config file provides the same keys; flags override
-    file values. Unknown keys are rejected.
+    file values. Unknown keys are rejected, and so are numeric settings
+    of the wrong type or out of range.
     """
 
     system: str | None = None
@@ -56,6 +70,23 @@ class RunConfig:
     prediction_n_real: int | None = None
     ensemble: str | None = None
     output_dir: str | None = None
+
+    def __post_init__(self):
+        for name, kind, low, strict in _NUMERIC_RANGES:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(
+                    f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                    f"got {value!r}"
+                )
+            if low is None:
+                continue
+            if not (math.isfinite(value)
+                    and (value > low if strict else value >= low)):
+                bound = f"> {low}" if strict else f">= {low}"
+                raise ConfigError(f"{name} must be finite and {bound}, got {value!r}")
 
     def to_dict(self) -> dict:
         """Set fields only; from_dict(to_dict()) round-trips."""

@@ -27,13 +27,23 @@ class StabilityError(LagdynError):
 
 
 class SimulationDivergedError(LagdynError):
-    """A trajectory exceeded the blow-up bound or produced non-finite values."""
+    """A trajectory exceeded the blow-up bound or produced non-finite values.
+
+    Attributes:
+        step: First failing step.
+        realizations: Batch rows that failed at that step.
+        partial: Samples recorded before that step, one array per recorded
+            row set, when the stepper recorded any.
+    """
 
     code = "diverged"
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int | None = None,
+                 realizations: tuple[int, ...] = (), partial=None):
         super().__init__(message)
         self.step = step
+        self.realizations = realizations
+        self.partial = partial
 
 
 class RegressionError(LagdynError):

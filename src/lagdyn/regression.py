@@ -105,7 +105,8 @@ def stls(
 
     Returns:
         SparseModel. An empty active set is a valid outcome (all columns
-        thresholded away).
+        thresholded away). All-zero columns get coefficient 0 and are never
+        active.
     """
     A, b = _validate(A, b)
     if threshold < 0:
@@ -113,9 +114,12 @@ def stls(
     if max_iter < 1:
         raise RegressionError("max_iter must be at least 1")
     p = A.shape[1]
+    # All-zero columns stay out of every solve: they keep coefficient 0 and
+    # never enter the active set.
+    usable = A.any(axis=0)
     scale = np.sqrt(np.mean(A * A, axis=0)) if standardize else np.ones(p)
-    usable = scale > 0.0
-    As = A[:, usable] / np.where(usable, scale, 1.0)[usable]
+    usable &= scale > 0.0
+    As = A[:, usable] / scale[usable]
 
     active = np.ones(int(usable.sum()), dtype=bool)
     coef = np.zeros(active.size)

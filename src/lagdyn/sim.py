@@ -22,6 +22,10 @@ import numpy as np
 from lagdyn.errors import ConfigError, SimulationDivergedError, StabilityError
 
 BLOW_UP_BOUND = 1.0e6
+# Steps of noise drawn per realization at a time, fewer for large batches so
+# that a chunk of the batch's increments stays within CHUNK_VALUES values.
+CHUNK_STEPS = 256
+CHUNK_VALUES = 1 << 20
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -183,72 +187,6 @@ def _noise_layout(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     return g0, np.flatnonzero(g0 != 0.0)
 
 
-def _check_states(states: np.ndarray, step: int, blow_up: float) -> None:
-    worst = np.abs(states).max(axis=tuple(range(1, states.ndim)))
-    bad = ~np.isfinite(worst) | (worst > blow_up)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise SimulationDivergedError(
-            f"trajectory diverged at step {step} (realization {k}): "
-            f"|state| exceeded {blow_up:g} or became non-finite",
-            step=step,
-        )
-
-
-def _taylor15_core(
-    spec: SystemSpec,
-    dt: float,
-    n_steps: int,
-    dw: np.ndarray,
-    dz: np.ndarray,
-    blow_up: float,
-) -> np.ndarray:
-    """Batched strong Taylor 1.5 integration for additive noise.
-
-    One step of the scheme for dY = A(Y) dt + B dW with constant B:
-        Y+ = Y + A dt + B.dW + (J_A B).dZ + 0.5 (J_A A + 0.5 K) dt^2
-    where J_A is the drift Jacobian, K the noise-curvature vector, dW the
-    Wiener increment over the step, and dZ the time integral of the Wiener
-    deviation over the step.
-
-    Args:
-        spec: System with drift, drift_jacobian, constant volatility.
-        dt: Time step.
-        n_steps: Number of steps.
-        dw: Wiener increments, shape (B, n_steps, n_noise).
-        dz: Integrated Wiener deviations, shape (B, n_steps, n_noise).
-        blow_up: Divergence bound on |state|.
-
-    Returns:
-        States, shape (B, n_state, n_steps + 1).
-    """
-    if spec.drift_jacobian is None:
-        raise ConfigError(f"system '{spec.name}' lacks a drift Jacobian")
-    y0 = np.asarray(spec.initial_state, dtype=float)
-    n_state = y0.size
-    g0, noise_idx = _noise_layout(spec)
-    batch = dw.shape[0]
-
-    out = np.empty((batch, n_state, n_steps + 1))
-    y = np.broadcast_to(y0, (batch, n_state)).copy()
-    out[:, :, 0] = y
-    dt2 = dt * dt
-    dw_full = np.zeros((batch, n_state))
-    dz_full = np.zeros((batch, n_state))
-    for i in range(n_steps):
-        dw_full[:, noise_idx] = dw[:, i, :]
-        dz_full[:, noise_idx] = dz[:, i, :]
-        a = spec.drift(y)
-        jac = spec.drift_jacobian(y)
-        ja = np.einsum("...ij,...j->...i", jac, a)
-        jbz = np.einsum("...ij,...j->...i", jac, g0 * dz_full)
-        curv = spec.noise_curvature(y) if spec.noise_curvature is not None else 0.0
-        y = y + a * dt + g0 * dw_full + jbz + 0.5 * dt2 * (ja + 0.5 * curv)
-        _check_states(y, i + 1, blow_up)
-        out[:, :, i + 1] = y
-    return out
-
-
 def increments_from_normals(dt: float, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Convert paired standard normals to correlated (dW, dZ) increments.
 
@@ -271,15 +209,354 @@ def increments_from_normals(dt: float, normals: np.ndarray) -> tuple[np.ndarray,
     return dw, dz
 
 
-def _taylor15_batch(
-    spec: SystemSpec,
-    dt: float,
-    n_steps: int,
-    normals: np.ndarray,
-    blow_up: float,
-) -> np.ndarray:
-    dw, dz = increments_from_normals(dt, normals)
-    return _taylor15_core(spec, dt, n_steps, dw, dz, blow_up)
+# ---------------------------------------------------------------------------
+# Chunked stepping: one noise source, one loop per scheme
+# ---------------------------------------------------------------------------
+
+
+class _StreamDraws:
+    """Noise increments of one noise layout, drawn a chunk of steps at a time.
+
+    Each realization keeps its stream for the whole run and every chunk
+    continues it where the previous chunk stopped, so the chunks reproduce
+    a one-shot draw of the whole horizon.
+    """
+
+    def __init__(self, streams: list[NoiseStream], n_noise: int, scheme: str,
+                 dt: float):
+        self.streams = streams
+        self.taylor = scheme == "taylor15"
+        self.tail = (n_noise, 2) if self.taylor else (n_noise,)
+        self.dt = dt
+
+    def __call__(self, m: int) -> tuple[np.ndarray, ...]:
+        """Increments of the next m steps, each (m, n_real, n_noise).
+
+        (dW,) for the Euler schemes, (dW, dZ) for Taylor 1.5.
+        """
+        xi = np.stack(
+            [s.standard_normals((m,) + self.tail) for s in self.streams], axis=1
+        )
+        if self.taylor:
+            return increments_from_normals(self.dt, xi)
+        return (np.sqrt(self.dt) * xi,)
+
+
+class _GivenIncrements:
+    """Externally supplied (dW, dZ), shape (n_real, n_steps, n_noise), by chunk."""
+
+    def __init__(self, dw: np.ndarray, dz: np.ndarray):
+        self.dw, self.dz = dw, dz
+        self.done = 0
+
+    def __call__(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        steps = slice(self.done, self.done + m)
+        self.done += m
+        return self.dw[:, steps].swapaxes(0, 1), self.dz[:, steps].swapaxes(0, 1)
+
+
+def _seeded(base_seed: int, n_real: int, scheme: str, dt: float):
+    """Noise source: realization k draws from derived_seed(base_seed, k)."""
+
+    def noise(noise_idx: np.ndarray) -> _StreamDraws:
+        streams = [NoiseStream(derived_seed(base_seed, k)) for k in range(n_real)]
+        return _StreamDraws(streams, noise_idx.size, scheme, dt)
+
+    return noise
+
+
+@dataclass
+class _Side:
+    """One system of a batch and the batch rows its realizations occupy."""
+
+    spec: SystemSpec
+    rows: slice
+    gains: np.ndarray
+    noise_idx: np.ndarray
+
+    @property
+    def key(self) -> tuple[int, ...]:
+        return tuple(self.noise_idx)
+
+
+class _Recorder:
+    """Copies selected state rows of every step into the output arrays.
+
+    Each output has shape (batch, n_rows, n_steps + 1). Steps are buffered
+    time-major, one contiguous slab per step, and a flush moves the
+    buffered steps into the outputs in one transposed copy.
+    """
+
+    def __init__(self, row_sets, widths: tuple[int, ...], batch: int,
+                 n_steps: int, depth: int):
+        starts = np.cumsum((0,) + widths)
+        self.outputs, self.buffers, self.copies = [], [], []
+        for o, rows in enumerate(row_sets):
+            rows = [int(r) for r in rows]
+            self.outputs.append(np.empty((batch, len(rows), n_steps + 1)))
+            self.buffers.append(np.empty((depth, batch, len(rows))))
+            # Runs of rows consecutive in one state block copy as one slice.
+            runs: list[list[int]] = []
+            for pos, row in enumerate(rows):
+                block = int(np.searchsorted(starts, row, side="right")) - 1
+                col = row - int(starts[block])
+                if runs and runs[-1][0] == block and runs[-1][2] == col:
+                    runs[-1][2] += 1
+                    runs[-1][4] += 1
+                else:
+                    runs.append([block, col, col + 1, pos, pos + 1])
+            self.copies += [(o, b, slice(c0, c1), slice(p0, p1))
+                            for b, c0, c1, p0, p1 in runs]
+        self.filled = 0
+
+    def take(self, j: int, *blocks: np.ndarray) -> None:
+        """Buffer the state blocks after step j of the current chunk."""
+        for o, b, cols, pos in self.copies:
+            self.buffers[o][j, :, pos] = blocks[b][:, cols]
+
+    def flush(self, m: int) -> None:
+        """Move the first m buffered steps into the outputs."""
+        for out, buf in zip(self.outputs, self.buffers):
+            out[:, :, self.filled:self.filled + m] = buf[:m].transpose(1, 2, 0)
+        self.filled += m
+
+    def start(self, *blocks: np.ndarray) -> None:
+        """Record the initial state as sample 0."""
+        self.take(0, *blocks)
+        self.flush(1)
+
+
+def _initial_states(sides: list[_Side]) -> np.ndarray:
+    batch = sides[-1].rows.stop
+    y = np.empty((batch, np.size(sides[0].spec.initial_state)))
+    for side in sides:
+        y[side.rows] = np.asarray(side.spec.initial_state, dtype=float)
+    return y
+
+
+def _as_slice(idx: np.ndarray):
+    """A run of consecutive indices as a slice, anything else unchanged."""
+    if idx.size and np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+class _ChunkNoise:
+    """Noise of the whole batch in state layout, one chunk of steps at a time.
+
+    A call returns one (m, batch, width) array per increment kind, covering
+    state coordinates [offset, offset + width); coordinates without noise
+    stay zero. Sides with the same noise layout share one draw. With
+    ``scaled`` each side's increments are multiplied by its initial gains.
+    """
+
+    def __init__(self, sides: list[_Side], noise, depth: int, offset: int,
+                 width: int, scaled: bool):
+        self.sides = sides
+        self.draws = {}
+        for side in sides:
+            if side.key not in self.draws:
+                self.draws[side.key] = noise(side.noise_idx)
+        self.cols = [_as_slice(side.noise_idx - offset) for side in sides]
+        self.gains = [side.gains[side.noise_idx] if scaled else None
+                      for side in sides]
+        self.shape = (depth, sides[-1].rows.stop, width)
+        self.buffers: list[np.ndarray] = []
+
+    def __call__(self, m: int) -> list[np.ndarray]:
+        drawn = {key: draw(m) for key, draw in self.draws.items()}
+        if not self.buffers:
+            self.buffers = [np.zeros(self.shape) for _ in drawn[self.sides[0].key]]
+        for side, cols, gains in zip(self.sides, self.cols, self.gains):
+            for buf, inc in zip(self.buffers, drawn[side.key]):
+                buf[:m, side.rows, cols] = inc if gains is None else inc * gains
+        return [buf[:m] for buf in self.buffers]
+
+
+def _diverged(state: np.ndarray, step: int, blow_up: float,
+              rec: _Recorder) -> SimulationDivergedError:
+    worst = np.abs(state).max(axis=1)
+    bad = np.flatnonzero(~np.isfinite(worst) | (worst > blow_up))
+    return SimulationDivergedError(
+        f"trajectory diverged at step {step} (realization {int(bad[0])}): "
+        f"|state| exceeded {blow_up:g} or became non-finite",
+        step=step,
+        realizations=tuple(int(k) for k in bad),
+        partial=[out[:, :, :rec.filled] for out in rec.outputs],
+    )
+
+
+def _kick_drift(sides, dt, n_steps, noise, rec, blow_up, chunk_steps) -> None:
+    """Kick-drift symplectic Euler-Maruyama for field systems.
+
+    Per step: v+ = v + dt*a(u) + g.dW; u+ = u + dt*v+. Constrained nodes
+    stay at zero. The velocity update uses the acceleration at the current
+    displacement only, so (v+ - v)/dt equals the drift plus pure noise,
+    exactly, per step.
+    """
+    n = sides[0].spec.dim
+    constrained = list(sides[0].spec.spatial.constrained)
+    y = _initial_states(sides)
+    u, v = y[:, :n].copy(), y[:, n:].copy()
+    u[:, constrained] = 0.0
+    v[:, constrained] = 0.0
+    rec.start(u, v)
+    work = np.empty_like(u)
+    for done in range(0, n_steps, chunk_steps):
+        m = min(chunk_steps, n_steps - done)
+        (kicks,) = noise(m)
+        for j in range(m):
+            for side in sides:
+                r = side.rows
+                np.multiply(side.spec.acceleration(u[r]), dt, out=work[r])
+            v += work
+            v += kicks[j]
+            v[:, constrained] = 0.0
+            np.multiply(v, dt, out=work)
+            u += work
+            u[:, constrained] = 0.0
+            if not np.abs(u, out=work).max() <= blow_up:
+                rec.flush(j)
+                raise _diverged(u, done + j + 1, blow_up, rec)
+            rec.take(j, u, v)
+        rec.flush(m)
+
+
+def _taylor15(sides, dt, n_steps, noise, rec, blow_up, chunk_steps) -> None:
+    """Strong Taylor 1.5 for additive noise.
+
+    One step of the scheme for dY = A(Y) dt + B dW with constant B:
+        Y+ = Y + A dt + B.dW + (J_A B).dZ + 0.5 (J_A A + 0.5 K) dt^2
+    where J_A is the drift Jacobian, K the noise-curvature vector, dW the
+    Wiener increment over the step, and dZ the time integral of the Wiener
+    deviation over the step.
+    """
+    y = _initial_states(sides)
+    rec.start(y)
+    dt2 = dt * dt
+    for done in range(0, n_steps, chunk_steps):
+        m = min(chunk_steps, n_steps - done)
+        gdw, gdz = noise(m)
+        for j in range(m):
+            for side in sides:
+                spec, r = side.spec, side.rows
+                ys = y[r]
+                a = spec.drift(ys)
+                jac = spec.drift_jacobian(ys)
+                ja = np.einsum("...ij,...j->...i", jac, a)
+                jbz = np.einsum("...ij,...j->...i", jac, gdz[j, r])
+                curv = (spec.noise_curvature(ys)
+                        if spec.noise_curvature is not None else 0.0)
+                y[r] = ys + a * dt + gdw[j, r] + jbz + 0.5 * dt2 * (ja + 0.5 * curv)
+            if not np.abs(y).max() <= blow_up:
+                rec.flush(j)
+                raise _diverged(y, done + j + 1, blow_up, rec)
+            rec.take(j, y)
+        rec.flush(m)
+
+
+def _euler_maruyama(sides, dt, n_steps, noise, rec, blow_up, chunk_steps) -> None:
+    """Classic Euler-Maruyama; supports state-dependent volatility."""
+    y = _initial_states(sides)
+    rec.start(y)
+    for done in range(0, n_steps, chunk_steps):
+        m = min(chunk_steps, n_steps - done)
+        (dws,) = noise(m)
+        for j in range(m):
+            for side in sides:
+                spec, r = side.spec, side.rows
+                ys = y[r]
+                gains = np.asarray(spec.volatility(ys))
+                y[r] = ys + spec.drift(ys) * dt + gains * dws[j, r]
+            if not np.abs(y).max() <= blow_up:
+                rec.flush(j)
+                raise _diverged(y, done + j + 1, blow_up, rec)
+            rec.take(j, y)
+        rec.flush(m)
+
+
+_LOOPS = {"kick-drift": _kick_drift, "taylor15": _taylor15,
+          "euler": _euler_maruyama}
+
+
+def _simulate(specs, scheme: str, dt: float, n_steps: int, n_real: int,
+              noise, row_sets, blow_up: float,
+              chunk_steps: int | None = None) -> list[np.ndarray]:
+    """Step a batch of one or more sides and record selected state rows.
+
+    Side s occupies batch rows [s*n_real, (s+1)*n_real) and calls only its
+    own spec's callables on them. Realization k of every side takes the
+    same noise draw when the sides share a noise layout; a side with
+    another layout draws from fresh streams of its own.
+
+    Args:
+        specs: Systems stepped together; they must share kind, dimension,
+            state size and grid.
+        scheme: "kick-drift", "taylor15" or "euler".
+        dt: Time step.
+        n_steps: Number of steps.
+        n_real: Realizations per side.
+        noise: Map noise layout (indices of noise-carrying coordinates) ->
+            chunk source of increments (see _StreamDraws).
+        row_sets: State rows to record, one output array per set.
+        blow_up: Divergence bound on |state|.
+        chunk_steps: Steps per noise chunk (None: CHUNK_STEPS, fewer when
+            a chunk of the batch's noise would exceed CHUNK_VALUES values).
+
+    Returns:
+        One array (len(specs) * n_real, len(rows), n_steps + 1) per row set.
+
+    Raises:
+        SimulationDivergedError: at the first step where any realization
+            leaves the bound; it names the failing batch rows and carries
+            the samples recorded before that step.
+    """
+    first = specs[0]
+    layout = (first.kind, first.dim, first.spatial, np.size(first.initial_state))
+    for spec in specs[1:]:
+        if (spec.kind, spec.dim, spec.spatial, np.size(spec.initial_state)) != layout:
+            raise ConfigError("systems stepped together must share their state layout")
+    if scheme == "kick-drift":
+        for spec in specs:
+            if spec.acceleration is None or spec.spatial is None:
+                raise ConfigError(
+                    f"field system '{spec.name}' needs acceleration and grid"
+                )
+            _validate_field_stability(spec, dt)
+        # Noise kicks the velocity block only.
+        widths, offset = (first.dim, first.dim), first.dim
+    else:
+        missing = [s.name for s in specs if s.drift_jacobian is None]
+        if scheme == "taylor15" and missing:
+            raise ConfigError(f"system '{missing[0]}' lacks a drift Jacobian")
+        widths, offset = (int(np.size(first.initial_state)),), 0
+    sides = []
+    for s, spec in enumerate(specs):
+        g0, noise_idx = _noise_layout(spec)
+        sides.append(_Side(spec, slice(s * n_real, (s + 1) * n_real), g0, noise_idx))
+    batch = len(specs) * n_real
+    if chunk_steps is None:
+        chunk_steps = min(CHUNK_STEPS,
+                          max(1, CHUNK_VALUES // (batch * widths[-1])))
+    depth = max(1, min(chunk_steps, n_steps))
+    chunks = _ChunkNoise(sides, noise, depth, offset, widths[-1],
+                         scaled=scheme != "euler")
+    rec = _Recorder(row_sets, widths, batch, n_steps, depth)
+    _LOOPS[scheme](sides, dt, n_steps, chunks, rec, blow_up, chunk_steps)
+    return rec.outputs
+
+
+def _check_steps(dt: float, n_steps: int, n_real: int = 1) -> None:
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    if n_real < 1:
+        raise ValueError("n_real must be at least 1")
+
+
+def _full_state(spec: SystemSpec) -> list[range]:
+    return [range(np.size(spec.initial_state))]
 
 
 def integrate_taylor15_increments(
@@ -319,11 +596,13 @@ def integrate_taylor15_increments(
         raise ValueError(
             f"expected {noise_idx.size} noise coordinates, got {dw.shape[-1]}"
         )
-    if dw.ndim == 2:
-        return _taylor15_core(
-            spec, dt, dw.shape[0], dw[None, :, :], dz[None, :, :], blow_up
-        )[0]
-    return _taylor15_core(spec, dt, dw.shape[1], dw, dz, blow_up)
+    batched = dw.ndim == 3
+    if not batched:
+        dw, dz = dw[None], dz[None]
+    (out,) = _simulate((spec,), "taylor15", dt, dw.shape[1], dw.shape[0],
+                       lambda _: _GivenIncrements(dw, dz), _full_state(spec),
+                       blow_up)
+    return out if batched else out[0]
 
 
 def integrate_batch(
@@ -355,200 +634,17 @@ def integrate_batch(
     Returns:
         States, shape (n_real, n_state, n_steps + 1).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if n_real < 1:
-        raise ValueError("n_real must be at least 1")
+    _check_steps(dt, n_steps, n_real)
     if method == "auto":
         method = "euler" if spec.kind == "spde" else "taylor15"
     if method not in ("taylor15", "euler"):
         raise ConfigError(f"unknown integration method '{method}'")
     if method == "taylor15" and spec.kind != "sde":
         raise ConfigError("Taylor scheme applies to finite-dimensional systems")
-    _, noise_idx = _noise_layout(spec)
-    if method == "taylor15":
-        shape = (n_steps, noise_idx.size, 2)
-    else:
-        shape = (n_steps, noise_idx.size)
-    normals = np.empty((n_real,) + shape)
-    for k in range(n_real):
-        normals[k] = NoiseStream(derived_seed(base_seed, k)).standard_normals(shape)
-    if method == "taylor15":
-        return _taylor15_batch(spec, dt, n_steps, normals, blow_up)
-    if spec.kind == "spde":
-        disp, vel = _field_stepper_batch(spec, dt, n_steps, normals, blow_up)
-        return _stack_state(disp, vel)
-    return _euler_maruyama_batch(spec, dt, n_steps, normals, blow_up)
-
-
-def _euler_maruyama_batch(
-    spec: SystemSpec,
-    dt: float,
-    n_steps: int,
-    normals: np.ndarray,
-    blow_up: float,
-) -> np.ndarray:
-    """Batched classic Euler-Maruyama for finite-dimensional SDEs.
-
-    Supports state-dependent volatility. normals shape (B, n_steps, n_noise).
-    """
-    y0 = np.asarray(spec.initial_state, dtype=float)
-    n_state = y0.size
-    _, noise_idx = _noise_layout(spec)
-    batch = normals.shape[0]
-
-    out = np.empty((batch, n_state, n_steps + 1))
-    y = np.broadcast_to(y0, (batch, n_state)).copy()
-    out[:, :, 0] = y
-    sqdt = np.sqrt(dt)
-    dw_full = np.zeros((batch, n_state))
-    for i in range(n_steps):
-        dw_full[:, noise_idx] = sqdt * normals[:, i, :]
-        gains = np.asarray(spec.volatility(y))
-        y = y + spec.drift(y) * dt + gains * dw_full
-        _check_states(y, i + 1, blow_up)
-        out[:, :, i + 1] = y
-    return out
-
-
-def _field_stepper_batch(
-    spec: SystemSpec,
-    dt: float,
-    n_steps: int,
-    normals: np.ndarray,
-    blow_up: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched kick-drift symplectic Euler-Maruyama for field systems.
-
-    Per step: v+ = v + dt*a(u) + g.dW; u+ = u + dt*v+. Constrained nodes
-    stay at zero. The velocity update uses the acceleration at the current
-    displacement only, so (v+ - v)/dt equals the drift plus pure noise,
-    exactly, per step.
-
-    Returns:
-        (displacement, velocity) arrays of shape (B, n, n_steps + 1).
-    """
-    if spec.acceleration is None or spec.spatial is None:
-        raise ConfigError(f"field system '{spec.name}' needs acceleration and grid")
-    _validate_field_stability(spec, dt)
-    n = spec.dim
-    y0 = np.asarray(spec.initial_state, dtype=float)
-    g0, noise_idx = _noise_layout(spec)
-    gains = g0[n:]
-    v_noise_idx = noise_idx - n
-    batch = normals.shape[0]
-    constrained = list(spec.spatial.constrained)
-
-    disp = np.empty((batch, n, n_steps + 1))
-    vel = np.empty((batch, n, n_steps + 1))
-    u = np.broadcast_to(y0[:n], (batch, n)).copy()
-    v = np.broadcast_to(y0[n:], (batch, n)).copy()
-    u[:, constrained] = 0.0
-    v[:, constrained] = 0.0
-    disp[:, :, 0] = u
-    vel[:, :, 0] = v
-    sqdt = np.sqrt(dt)
-    dw = np.zeros((batch, n))
-    for i in range(n_steps):
-        dw[:, v_noise_idx] = sqdt * normals[:, i, :]
-        v = v + dt * spec.acceleration(u) + gains * dw
-        v[:, constrained] = 0.0
-        u = u + dt * v
-        u[:, constrained] = 0.0
-        _check_states(u, i + 1, blow_up)
-        disp[:, :, i + 1] = u
-        vel[:, :, i + 1] = v
-    return disp, vel
-
-
-def simulate_field_rows(
-    spec: SystemSpec,
-    dt: float,
-    t_f: float,
-    n_real: int,
-    base_seed: int,
-    rows,
-    chunk_steps: int = 2000,
-    blow_up: float = BLOW_UP_BOUND,
-) -> np.ndarray:
-    """Simulate a field ensemble while recording only selected state rows.
-
-    Runs the same kick-drift stepper with the same per-realization seeding
-    as generate_ensemble, but draws the noise in time chunks from
-    persistent per-realization generators (chunked draws reproduce the
-    one-shot stream) and stores only the requested state rows, so long
-    horizons with many realizations fit in memory. Row r < dim selects the
-    displacement of node r; row dim + r selects its velocity.
-
-    Args:
-        spec: Field system (kind "spde").
-        dt: Time step, > 0.
-        t_f: Final time, > 0.
-        n_real: Number of realizations, >= 1.
-        base_seed: Ensemble seed; realization k draws from
-            derived_seed(base_seed, k).
-        rows: Iterable of state-row indices to record, each in [0, 2*dim).
-        chunk_steps: Steps advanced per noise draw, >= 1.
-        blow_up: Divergence bound on |state|.
-
-    Returns:
-        Array of shape (n_real, len(rows), n_steps + 1).
-    """
-    if spec.kind != "spde" or spec.acceleration is None or spec.spatial is None:
-        raise ConfigError(f"'{spec.name}' is not a simulatable field system")
-    if t_f <= 0 or dt <= 0:
-        raise ValueError("t_f and dt must be positive")
-    if n_real < 1:
-        raise ValueError("n_real must be at least 1")
-    if chunk_steps < 1:
-        raise ValueError("chunk_steps must be at least 1")
-    _validate_field_stability(spec, dt)
-    n = spec.dim
-    rows = np.asarray(list(rows), dtype=int)
-    if rows.size == 0 or rows.min() < 0 or rows.max() >= 2 * n:
-        raise ConfigError("rows must be non-empty state indices in [0, 2*dim)")
-    n_steps = int(round(t_f / dt))
-
-    y0 = np.asarray(spec.initial_state, dtype=float)
-    g0, noise_idx = _noise_layout(spec)
-    gains = g0[n:]
-    v_noise_idx = noise_idx - n
-    constrained = list(spec.spatial.constrained)
-    disp_rows = rows[rows < n]
-    vel_rows = rows[rows >= n] - n
-    disp_pos = np.flatnonzero(rows < n)
-    vel_pos = np.flatnonzero(rows >= n)
-
-    u = np.broadcast_to(y0[:n], (n_real, n)).copy()
-    v = np.broadcast_to(y0[n:], (n_real, n)).copy()
-    u[:, constrained] = 0.0
-    v[:, constrained] = 0.0
-    out = np.empty((n_real, rows.size, n_steps + 1))
-    out[:, disp_pos, 0] = u[:, disp_rows]
-    out[:, vel_pos, 0] = v[:, vel_rows]
-
-    streams = [NoiseStream(derived_seed(base_seed, k)) for k in range(n_real)]
-    sqdt = np.sqrt(dt)
-    dw = np.zeros((n_real, n))
-    normals = np.empty((n_real, chunk_steps, v_noise_idx.size))
-    done = 0
-    while done < n_steps:
-        m = min(chunk_steps, n_steps - done)
-        block = normals[:, :m, :]
-        for k, stream in enumerate(streams):
-            block[k] = stream.standard_normals((m, v_noise_idx.size))
-        for j in range(m):
-            dw[:, v_noise_idx] = sqdt * block[:, j, :]
-            v = v + dt * spec.acceleration(u) + gains * dw
-            v[:, constrained] = 0.0
-            u = u + dt * v
-            u[:, constrained] = 0.0
-            _check_states(u, done + j + 1, blow_up)
-            out[:, disp_pos, done + j + 1] = u[:, disp_rows]
-            out[:, vel_pos, done + j + 1] = v[:, vel_rows]
-        done += m
+    scheme = "kick-drift" if spec.kind == "spde" else method
+    (out,) = _simulate((spec,), scheme, dt, n_steps, n_real,
+                       _seeded(base_seed, n_real, scheme, dt),
+                       _full_state(spec), blow_up)
     return out
 
 
@@ -561,8 +657,88 @@ def _validate_field_stability(spec: SystemSpec, dt: float) -> None:
         )
 
 
-def _stack_state(disp: np.ndarray, vel: np.ndarray) -> np.ndarray:
-    return np.concatenate([disp, vel], axis=1)
+def simulate_rows(
+    spec: SystemSpec,
+    dt: float,
+    t_f: float,
+    n_real: int,
+    base_seed: int,
+    rows,
+    partners=(),
+    chunk_steps: int | None = None,
+    blow_up: float = BLOW_UP_BOUND,
+) -> np.ndarray:
+    """Simulate an ensemble while recording only selected state rows.
+
+    Steps with the scheme and per-realization seeding of generate_ensemble
+    (Taylor 1.5 for kind "sde", kick-drift for "spde") and stores only the
+    requested rows of the state (displacement block, then velocity block),
+    so long horizons with many realizations fit in memory.
+
+    Partner systems step in the same batch, after spec: realization k of
+    every system takes the same noise draw, so a comparison of the systems
+    sees no Monte Carlo difference and the noise is drawn once.
+
+    Args:
+        spec: System to simulate.
+        dt: Time step, > 0.
+        t_f: Final time, > 0.
+        n_real: Realizations per system, >= 1.
+        base_seed: Ensemble seed; realization k draws from
+            derived_seed(base_seed, k).
+        rows: Iterable of state-row indices to record.
+        partners: Further systems with the same kind and state layout.
+        chunk_steps: Steps advanced per noise draw, >= 1 (None: up to
+            CHUNK_STEPS, fewer for large batches).
+        blow_up: Divergence bound on |state|.
+
+    Returns:
+        Array of shape ((1 + len(partners)) * n_real, len(rows),
+        n_steps + 1); system s fills rows [s*n_real, (s+1)*n_real).
+
+    Raises:
+        SimulationDivergedError: at the first step where any system leaves
+            the bound; ``partial[0]`` holds the samples recorded before it.
+    """
+    if t_f <= 0 or dt <= 0:
+        raise ValueError("t_f and dt must be positive")
+    if n_real < 1:
+        raise ValueError("n_real must be at least 1")
+    if chunk_steps is not None and chunk_steps < 1:
+        raise ValueError("chunk_steps must be at least 1")
+    size = int(np.size(spec.initial_state))
+    rows = np.asarray(list(rows), dtype=int)
+    if rows.size == 0 or rows.min() < 0 or rows.max() >= size:
+        raise ConfigError(
+            f"rows must be non-empty state indices in [0, {size})"
+        )
+    scheme = "kick-drift" if spec.kind == "spde" else "taylor15"
+    (out,) = _simulate((spec, *partners), scheme, dt, int(round(t_f / dt)),
+                       n_real, _seeded(base_seed, n_real, scheme, dt), [rows],
+                       blow_up, chunk_steps)
+    return out
+
+
+def simulate_field_rows(
+    spec: SystemSpec,
+    dt: float,
+    t_f: float,
+    n_real: int,
+    base_seed: int,
+    rows,
+    chunk_steps: int | None = None,
+    blow_up: float = BLOW_UP_BOUND,
+    partners=(),
+) -> np.ndarray:
+    """simulate_rows for field systems: the kick-drift stepper only.
+
+    Row r < dim selects the displacement of node r; row dim + r selects
+    its velocity.
+    """
+    if spec.kind != "spde" or spec.acceleration is None or spec.spatial is None:
+        raise ConfigError(f"'{spec.name}' is not a simulatable field system")
+    return simulate_rows(spec, dt, t_f, n_real, base_seed, rows, partners,
+                         chunk_steps, blow_up)
 
 
 def integrate_taylor15(
@@ -586,13 +762,11 @@ def integrate_taylor15(
     """
     if spec.kind != "sde":
         raise ConfigError("Taylor scheme applies to finite-dimensional systems")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    _, noise_idx = _noise_layout(spec)
-    normals = noise.standard_normals((1, n_steps, noise_idx.size, 2))
-    return _taylor15_batch(spec, dt, n_steps, normals, blow_up)[0]
+    _check_steps(dt, n_steps)
+    (out,) = _simulate((spec,), "taylor15", dt, n_steps, 1,
+                       lambda idx: _StreamDraws([noise], idx.size, "taylor15", dt),
+                       _full_state(spec), blow_up)
+    return out[0]
 
 
 def integrate_euler_maruyama(
@@ -612,17 +786,12 @@ def integrate_euler_maruyama(
         State trajectory, shape (n_state, n_steps + 1) with the state
         concatenating displacement and velocity blocks for field systems.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    _, noise_idx = _noise_layout(spec)
-    if spec.kind == "spde":
-        normals = noise.standard_normals((1, n_steps, noise_idx.size))
-        disp, vel = _field_stepper_batch(spec, dt, n_steps, normals, blow_up)
-        return _stack_state(disp, vel)[0]
-    normals = noise.standard_normals((1, n_steps, noise_idx.size))
-    return _euler_maruyama_batch(spec, dt, n_steps, normals, blow_up)[0]
+    _check_steps(dt, n_steps)
+    scheme = "kick-drift" if spec.kind == "spde" else "euler"
+    (out,) = _simulate((spec,), scheme, dt, n_steps, 1,
+                       lambda idx: _StreamDraws([noise], idx.size, scheme, dt),
+                       _full_state(spec), blow_up)
+    return out[0]
 
 
 def integrate_rk4(spec: SystemSpec, dt: float, n_steps: int) -> np.ndarray:
@@ -678,36 +847,22 @@ def generate_ensemble(
         raise ValueError("dt must be positive")
     if n_real < 1:
         raise ValueError("n_real must be at least 1")
-    y0 = np.asarray(spec.initial_state, dtype=float)
-    if y0.size != 2 * spec.dim:
+    n = spec.dim
+    if np.size(spec.initial_state) != 2 * n:
         raise ConfigError(
             "ensemble generation expects displacement and velocity blocks"
         )
     n_steps = int(round(t_f / dt))
-    _, noise_idx = _noise_layout(spec)
-
-    if spec.kind == "spde":
-        shape = (n_steps, noise_idx.size)
-    else:
-        shape = (n_steps, noise_idx.size, 2)
-    normals = np.empty((n_real,) + shape)
-    for k in range(n_real):
-        normals[k] = NoiseStream(derived_seed(base_seed, k)).standard_normals(shape)
-
-    if spec.kind == "spde":
-        disp, vel = _field_stepper_batch(spec, dt, n_steps, normals, blow_up)
-    else:
-        states = _taylor15_batch(spec, dt, n_steps, normals, blow_up)
-        n = spec.dim
-        disp = np.ascontiguousarray(states[:, :n, :])
-        vel = np.ascontiguousarray(states[:, n:, :])
-        del states
+    scheme = "kick-drift" if spec.kind == "spde" else "taylor15"
+    disp, vel = _simulate((spec,), scheme, dt, n_steps, n_real,
+                          _seeded(base_seed, n_real, scheme, dt),
+                          [range(n), range(n, 2 * n)], blow_up)
     grid = spec.spatial.grid if spec.spatial is not None else None
     return Ensemble(
         dt=dt,
         n_steps=n_steps + 1,
         n_real=n_real,
-        coords=spec.dim,
+        coords=n,
         displacement=disp,
         velocity=vel,
         spatial_grid=grid,
@@ -1069,22 +1224,35 @@ def load_ensemble(path: str | Path) -> Ensemble:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"not an ensemble container: {path}") from exc
-        if header.get("format") != _MAGIC:
+        if not isinstance(header, dict) or header.get("format") != _MAGIC:
             raise ConfigError(f"unsupported container format in {path}")
-        shape = (header["n_real"], header["coords"], header["n_steps"])
+        try:
+            shape = (int(header["n_real"]), int(header["coords"]),
+                     int(header["n_steps"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed container header in {path}") from exc
         count = int(np.prod(shape))
-        disp = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
-        vel = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
+        payload = fh.read()
+    if len(payload) != 16 * count:
+        raise ConfigError(
+            f"truncated or oversized container {path}: {len(payload)} data "
+            f"bytes, header promises {16 * count}"
+        )
+    disp = np.frombuffer(payload, dtype="<f8", count=count)
+    vel = np.frombuffer(payload, dtype="<f8", count=count, offset=8 * count)
     grid = header.get("spatial_grid")
-    return Ensemble(
-        dt=header["dt"],
-        n_steps=header["n_steps"],
-        n_real=header["n_real"],
-        coords=header["coords"],
-        displacement=disp.reshape(shape).copy(),
-        velocity=vel.reshape(shape).copy(),
-        spatial_grid=None if grid is None else np.asarray(grid, dtype=float),
-    )
+    try:
+        return Ensemble(
+            dt=header.get("dt"),
+            n_steps=shape[2],
+            n_real=shape[0],
+            coords=shape[1],
+            displacement=disp.reshape(shape).copy(),
+            velocity=vel.reshape(shape).copy(),
+            spatial_grid=None if grid is None else np.asarray(grid, dtype=float),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid ensemble in {path}: {exc}") from exc
 
 
 def ensemble_to_csv(ens: Ensemble, path: str | Path, realization: int | None = None) -> None:

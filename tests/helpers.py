@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 
 from lagdyn import sim
+from lagdyn.errors import SimulationDivergedError
 
 
 def fitted_order(steps, errors) -> float:
@@ -250,3 +251,147 @@ def ou_conditional_strong_errors(
             x = x * decay + k1 * dw[:, i] + k2 * dz[:, i] + resid_sd * xi3[:, i]
         errs.append(float(np.sqrt(np.mean((end - x) ** 2))))
     return np.array(errs)
+
+
+# ---------------------------------------------------------------------------
+# Reference steppers: one step at a time on one-shot noise draws
+# ---------------------------------------------------------------------------
+
+
+def one_shot_normals(base_seed: int, n_real: int, shape) -> np.ndarray:
+    """Whole-horizon standard normals of each realization, (n_real, *shape)."""
+    normals = np.empty((n_real,) + tuple(shape))
+    for k in range(n_real):
+        stream = sim.NoiseStream(sim.derived_seed(base_seed, k))
+        normals[k] = stream.standard_normals(shape)
+    return normals
+
+
+def _reference_check(states, step, blow_up):
+    worst = np.abs(states).max(axis=tuple(range(1, states.ndim)))
+    bad = ~np.isfinite(worst) | (worst > blow_up)
+    if bad.any():
+        raise SimulationDivergedError(
+            f"trajectory diverged at step {step}", step=step)
+
+
+def reference_kick_drift(spec, dt, n_steps, normals,
+                         blow_up=sim.BLOW_UP_BOUND) -> np.ndarray:
+    """Kick-drift field stepper; normals (B, n_steps, n_noise).
+
+    Returns the full state (B, 2n, n_steps + 1).
+    """
+    n = spec.dim
+    y0 = np.asarray(spec.initial_state, dtype=float)
+    g0 = np.asarray(spec.volatility(y0))
+    noise_idx = np.flatnonzero(g0 != 0.0)
+    gains = g0[n:]
+    v_noise_idx = noise_idx - n
+    batch = normals.shape[0]
+    constrained = list(spec.spatial.constrained)
+    out = np.empty((batch, 2 * n, n_steps + 1))
+    u = np.broadcast_to(y0[:n], (batch, n)).copy()
+    v = np.broadcast_to(y0[n:], (batch, n)).copy()
+    u[:, constrained] = 0.0
+    v[:, constrained] = 0.0
+    out[:, :n, 0] = u
+    out[:, n:, 0] = v
+    sqdt = np.sqrt(dt)
+    dw = np.zeros((batch, n))
+    for i in range(n_steps):
+        dw[:, v_noise_idx] = sqdt * normals[:, i, :]
+        v = v + dt * spec.acceleration(u) + gains * dw
+        v[:, constrained] = 0.0
+        u = u + dt * v
+        u[:, constrained] = 0.0
+        _reference_check(u, i + 1, blow_up)
+        out[:, :n, i + 1] = u
+        out[:, n:, i + 1] = v
+    return out
+
+
+def reference_taylor15(spec, dt, n_steps, normals,
+                       blow_up=sim.BLOW_UP_BOUND) -> np.ndarray:
+    """Additive-noise Taylor 1.5 stepper; normals (B, n_steps, n_noise, 2).
+
+    Returns the full state (B, n_state, n_steps + 1).
+    """
+    dw, dz = sim.increments_from_normals(dt, normals)
+    y0 = np.asarray(spec.initial_state, dtype=float)
+    n_state = y0.size
+    g0 = np.asarray(spec.volatility(y0))
+    noise_idx = np.flatnonzero(g0 != 0.0)
+    batch = dw.shape[0]
+    out = np.empty((batch, n_state, n_steps + 1))
+    y = np.broadcast_to(y0, (batch, n_state)).copy()
+    out[:, :, 0] = y
+    dt2 = dt * dt
+    dw_full = np.zeros((batch, n_state))
+    dz_full = np.zeros((batch, n_state))
+    for i in range(n_steps):
+        dw_full[:, noise_idx] = dw[:, i, :]
+        dz_full[:, noise_idx] = dz[:, i, :]
+        a = spec.drift(y)
+        jac = spec.drift_jacobian(y)
+        ja = np.einsum("...ij,...j->...i", jac, a)
+        jbz = np.einsum("...ij,...j->...i", jac, g0 * dz_full)
+        curv = spec.noise_curvature(y) if spec.noise_curvature is not None else 0.0
+        y = y + a * dt + g0 * dw_full + jbz + 0.5 * dt2 * (ja + 0.5 * curv)
+        _reference_check(y, i + 1, blow_up)
+        out[:, :, i + 1] = y
+    return out
+
+
+def reference_states(spec, dt, n_steps, n_real, base_seed) -> np.ndarray:
+    """Full-state ensemble (n_real, n_state, n_steps + 1) of the reference
+    stepper of spec's kind, each realization on its derived seed."""
+    n_noise = int(np.count_nonzero(spec.volatility(spec.initial_state)))
+    if spec.kind == "spde":
+        normals = one_shot_normals(base_seed, n_real, (n_steps, n_noise))
+        return reference_kick_drift(spec, dt, n_steps, normals)
+    normals = one_shot_normals(base_seed, n_real, (n_steps, n_noise, 2))
+    return reference_taylor15(spec, dt, n_steps, normals)
+
+
+def reference_prediction(true_spec, pred_spec, dt, n_steps, n_real,
+                         base_seed, rows) -> dict:
+    """Shared-seed comparison with each side simulated on its own.
+
+    A side that diverges is re-run up to its last stable step; the earlier
+    divergence (truth on a tie) marks the comparison, both series are cut
+    to the shorter length, and a side that failed on the first step gets
+    zero statistics.
+    """
+
+    def side(spec):
+        try:
+            return reference_states(spec, dt, n_steps, n_real, base_seed)[:, rows], None
+        except SimulationDivergedError as exc:
+            last_ok = exc.step - 1
+            if last_ok < 1:
+                return None, exc.step
+            states = reference_states(spec, dt, last_ok, n_real, base_seed)
+            return states[:, rows], exc.step
+
+    truth, truth_fail = side(true_spec)
+    pred, pred_fail = side(pred_spec)
+    diverged, step = None, None
+    if truth_fail is not None:
+        diverged, step = "truth", truth_fail
+    if pred_fail is not None and (step is None or pred_fail < step):
+        diverged, step = "discovered", pred_fail
+    length = min(s.shape[2] if s is not None else 1 for s in (truth, pred))
+
+    def stats(series):
+        if series is None:
+            zeros = np.zeros((len(rows), length))
+            return zeros, zeros
+        cut = series[:, :, :length]
+        return cut.mean(axis=0), 2.0 * cut.std(axis=0)
+
+    truth_mean, truth_2s = stats(truth)
+    pred_mean, pred_2s = stats(pred)
+    return {"diverged": diverged, "diverged_step": step,
+            "times": np.arange(length) * dt,
+            "truth_mean": truth_mean, "pred_mean": pred_mean,
+            "truth_2sigma": truth_2s, "pred_2sigma": pred_2s}

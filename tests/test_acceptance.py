@@ -18,6 +18,8 @@ from lagdyn.numdiff import (
     forward_first_derivative,
 )
 
+pytestmark = pytest.mark.slow
+
 BENCHMARKS = ("harmonic", "pendulum", "duffing", "3dof", "wave", "beam")
 
 PROBE_SUPPORTS = {

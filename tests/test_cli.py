@@ -101,6 +101,34 @@ def test_missing_ensemble_exits_4(tmp_path):
                 "--ensemble", str(tmp_path / "missing.bin")]) == 4
 
 
+def test_negative_dt_flag_exits_2_with_one_line(tmp_path, capsys):
+    assert run(["simulate", "--system", "harmonic", "--dt", "-1",
+                "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "dt must be" in err
+
+
+def test_non_integer_seed_in_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": "abc"}))
+    assert run(["simulate", "--system", "harmonic", "--config", str(path),
+                "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed must be an integer" in err
+
+
+def test_truncated_ensemble_exits_2(tmp_path, capsys):
+    assert run(["simulate", "--system", "harmonic", *FAST,
+                "--output-dir", str(tmp_path)]) == 0
+    path = tmp_path / "harmonic_ensemble.bin"
+    path.write_bytes(path.read_bytes()[:-8])
+    capsys.readouterr()
+    assert run(["discover", "--system", "harmonic", "--ensemble", str(path),
+                "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "truncated" in err
+
+
 def test_discovery_failure_exits_5(tmp_path):
     assert run(["discover", "--system", "harmonic", *FAST,
                 "--lambda-lagrangian", "1e9",

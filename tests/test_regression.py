@@ -85,6 +85,22 @@ class TestStls:
         assert model.coefficients[1] == pytest.approx(2.0, abs=1e-10)
         assert model.coefficients[0] == 0.0 and model.coefficients[2] == 0.0
 
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("threshold", [0.0, 0.3])
+    def test_zero_column_changes_no_coefficient_bit(self, standardize,
+                                                   threshold):
+        rng = np.random.default_rng(11)
+        A = rng.normal(size=(60, 4))
+        b = A @ np.array([1.5, 0.0, -0.7, 0.02]) + 0.01 * rng.normal(size=60)
+        padded = np.column_stack([A, np.zeros(60)])
+        base = stls(A, b, threshold, standardize=standardize)
+        model = stls(padded, b, threshold, standardize=standardize)
+        assert np.array_equal(model.coefficients[:4], base.coefficients)
+        assert model.coefficients[4] == 0.0
+        assert model.active_set == base.active_set
+        assert 4 not in model.active_set
+        assert model.residual_norm == base.residual_norm
+
     def test_active_coefficients_exceed_threshold_standardized(self):
         rng = np.random.default_rng(9)
         A = rng.normal(size=(200, 8))
