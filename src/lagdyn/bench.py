@@ -102,11 +102,20 @@ _TRUE_GAINS = {
 
 def training_protocol(spec: sim.SystemSpec,
                       config: BenchmarkConfig) -> tuple[float, float, int]:
-    """Training (dt, t_f, n_real) of a benchmark, overrides applied."""
+    """Training (dt, t_f, n_real) of a benchmark, overrides applied.
+
+    Raises:
+        ConfigError: if the window is shorter than one step, which would
+            leave a single sample to differentiate.
+    """
     dt = config.dt if config.dt is not None else 1.0 / spec.params["sample_rate"]
     t_f = config.t_f if config.t_f is not None else spec.params["t_final"]
     n_real = (config.n_real if config.n_real is not None
               else spec.params["n_realizations"])
+    if round(t_f / dt) < 1:
+        raise ConfigError(
+            f"training window t_f={t_f:g} is shorter than one step dt={dt:g}"
+        )
     return float(dt), float(t_f), int(n_real)
 
 
@@ -194,45 +203,13 @@ def coefficient_tables(
 # Discovered systems as simulatable specs
 # ---------------------------------------------------------------------------
 
-
-def _eval_image(desc, u: np.ndarray) -> np.ndarray:
-    """Value of one drift-term descriptor on displacements (..., n)."""
-    if desc.form == "constant":
-        return np.ones(u.shape[:-1])
-    if desc.form == "monomial":
-        return u[..., desc.coords[0]] ** desc.degree
-    if desc.form == "trig":
-        arg = desc.frequency * u[..., desc.coords[0]]
-        return np.sin(arg) if desc.trig == "sin" else np.cos(arg)
-    if desc.form == "difference-monomial":
-        a, b = desc.coords
-        return (u[..., a] - u[..., b]) ** desc.degree
-    raise UnsupportedFormError(
-        f"cannot simulate drift term of form '{desc.form}'"
-    )
-
-
-def _image_partials(desc) -> list:
-    """(coordinate, derivative function) pairs of one drift descriptor."""
-    if desc.form == "constant":
-        return []
-    if desc.form == "monomial":
-        c, d = desc.coords[0], desc.degree
-        return [(c, lambda u: d * u[..., c] ** (d - 1))]
-    if desc.form == "trig":
-        c, k = desc.coords[0], desc.frequency
-        if desc.trig == "sin":
-            return [(c, lambda u: k * np.cos(k * u[..., c]))]
-        return [(c, lambda u: -k * np.sin(k * u[..., c]))]
-    if desc.form == "difference-monomial":
-        a, b, d = desc.coords[0], desc.coords[1], desc.degree
-        return [
-            (a, lambda u: d * (u[..., a] - u[..., b]) ** (d - 1)),
-            (b, lambda u: -d * (u[..., a] - u[..., b]) ** (d - 1)),
-        ]
-    raise UnsupportedFormError(
-        f"cannot differentiate drift term of form '{desc.form}'"
-    )
+# Field operator of each pooled stiffness label: the sign that turns the
+# label's coefficient into a stiffness, the operator, and the system name
+# used in messages.
+_FIELD_OPERATORS = {
+    "uxx": (-1.0, sim.laplacian_operator, "wave"),
+    "uxxxx": (1.0, sim.biharmonic_operator, "beam"),
+}
 
 
 def _protocol_params(spec: sim.SystemSpec) -> dict:
@@ -243,128 +220,73 @@ def _protocol_params(spec: sim.SystemSpec) -> dict:
 def discovered_particle_spec(
     true_spec: sim.SystemSpec, eom: discovery.EquationsOfMotion
 ) -> sim.SystemSpec:
-    """Simulatable system built from discovered discrete equations."""
+    """Simulatable system built from discovered discrete equations.
+
+    The acceleration is eom.acceleration_series and its Jacobian the
+    library's basis partials, both on the coordinate-first layout (n, B).
+    """
     n = true_spec.dim
     if len(eom.target_coords) != n or tuple(eom.target_coords) != tuple(range(n)):
         raise ConfigError("equations must cover every coordinate in order")
-    per_eq = []
     for terms in eom.terms:
-        entries = []
         for term in terms:
             if term.image is None:
                 raise UnsupportedFormError(
                     f"term '{term.label}' has no simulatable image"
                 )
-            entries.append((term.coefficient, term.image,
-                            _image_partials(term.image)))
-        per_eq.append(entries)
 
     def accel(u):
-        a = np.zeros(u.shape)
-        for i, entries in enumerate(per_eq):
-            for coeff, image, _ in entries:
-                a[..., i] -= coeff * _eval_image(image, u)
-        return a
+        # Drift images read positions only, so u also stands in for v.
+        columns = u.reshape(-1, n).T
+        return eom.acceleration_series(columns, columns).T.reshape(u.shape)
 
     def accel_jac(u):
+        columns = u.reshape(-1, n).T
         jac = np.zeros(u.shape[:-1] + (n, n))
-        for i, entries in enumerate(per_eq):
-            for coeff, _, partials in entries:
-                for j, dfun in partials:
-                    jac[..., i, j] -= coeff * dfun(u)
+        for i, terms in enumerate(eom.terms):
+            for term in terms:
+                for j in term.image.coords:
+                    grad, _ = library.basis_partials(term.image, columns,
+                                                     columns, None, j)
+                    if grad is not None:
+                        jac[..., i, j] -= (term.coefficient
+                                           * grad.reshape(u.shape[:-1]))
         return jac
 
-    def drift(y):
-        u, v = y[..., :n], y[..., n:]
-        return np.concatenate([v, accel(u)], axis=-1)
-
-    def jacobian(y):
-        u = y[..., :n]
-        jac = np.zeros(y.shape[:-1] + (2 * n, 2 * n))
-        jac[..., :n, n:] = np.eye(n)
-        jac[..., n:, :n] = accel_jac(u)
-        return jac
-
-    g_full = np.concatenate([np.zeros(n), np.asarray(eom.gains, dtype=float)])
-
-    def volatility(y):
-        return np.broadcast_to(g_full, y.shape)
-
-    return sim.SystemSpec(
-        name=f"{true_spec.name}-discovered",
-        kind="sde",
-        dim=n,
-        drift=drift,
-        volatility=volatility,
-        initial_state=np.array(true_spec.initial_state, dtype=float),
-        params=_protocol_params(true_spec),
-        drift_jacobian=jacobian,
+    return sim.second_order_spec(
+        f"{true_spec.name}-discovered", accel,
+        np.asarray(eom.gains, dtype=float), true_spec.initial_state,
+        _protocol_params(true_spec), accel_jac,
     )
 
 
 def discovered_field_spec(
     true_spec: sim.SystemSpec, eom: discovery.EquationsOfMotion
 ) -> sim.SystemSpec:
-    """Simulatable field built from pooled discovered node equations."""
+    """Simulatable field built from pooled discovered node equations.
+
+    The operator follows the discovered stiffness label (uxx or uxxxx).
+    """
     if true_spec.spatial is None:
         raise ConfigError("discovered field spec needs grid geometry")
     pooled = pooled_parameters(eom)
-    geometry = true_spec.spatial
-    n = true_spec.dim
-    dx = geometry.dx
-    drift_labels = set(pooled) - {"gain"}
-    if drift_labels == {"uxx"}:
-        c2 = -pooled["uxx"]
-        if c2 <= 0:
-            raise UnsupportedFormError("discovered wave operator is unstable")
-        scale = c2 / dx**2
-
-        def accel(u):
-            a = np.zeros_like(u)
-            a[..., 1:-1] = scale * (
-                u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]
-            )
-            return a
-
-        max_stable_dt = dx / np.sqrt(c2)
-    elif drift_labels == {"uxxxx"}:
-        kappa = pooled["uxxxx"]
-        if kappa <= 0:
-            raise UnsupportedFormError("discovered beam operator is unstable")
-
-        def accel(u):
-            return -kappa * sim._beam_biharmonic(u, dx)
-
-        max_stable_dt = dx**2 / (2.0 * np.sqrt(kappa))
-    else:
+    drift_labels = sorted(set(pooled) - {"gain"})
+    if len(drift_labels) != 1 or drift_labels[0] not in _FIELD_OPERATORS:
         raise UnsupportedFormError(
             f"field equations must be slope or curvature driven, "
-            f"got {sorted(drift_labels)}"
+            f"got {drift_labels}"
         )
-
-    def drift(y):
-        u, v = y[..., :n], y[..., n:]
-        return np.concatenate([v, accel(u)], axis=-1)
-
-    gains = np.full(n, pooled["gain"])
-    gains[list(geometry.constrained)] = 0.0
-    g_full = np.concatenate([np.zeros(n), gains])
-
-    def volatility(y):
-        return np.broadcast_to(g_full, y.shape)
-
+    sign, operator, kind = _FIELD_OPERATORS[drift_labels[0]]
+    stiffness = sign * pooled[drift_labels[0]]
+    if stiffness <= 0:
+        raise UnsupportedFormError(f"discovered {kind} operator is unstable")
+    accel, max_stable_dt = operator(stiffness, true_spec.spatial.dx)
     params = _protocol_params(true_spec)
-    params["max_stable_dt"] = float(max_stable_dt)
-    return sim.SystemSpec(
-        name=f"{true_spec.name}-discovered",
-        kind="spde",
-        dim=n,
-        drift=drift,
-        volatility=volatility,
-        initial_state=np.array(true_spec.initial_state, dtype=float),
-        params=params,
-        acceleration=accel,
-        spatial=geometry,
+    params["max_stable_dt"] = max_stable_dt
+    return sim.second_order_spec(
+        f"{true_spec.name}-discovered", accel,
+        np.full(true_spec.dim, pooled["gain"]), true_spec.initial_state,
+        params, geometry=true_spec.spatial,
     )
 
 
@@ -821,7 +743,7 @@ def run_benchmark(
             pooled_true = pooled_parameters(eom_true)
             pooled_disc = pooled_parameters(eom)
             stiff_label = "uxx" if "uxx" in pooled_true else "uxxxx"
-            sign = -1.0 if stiff_label == "uxx" else 1.0
+            sign = _FIELD_OPERATORS[stiff_label][0]
             stiff_true = sign * pooled_true[stiff_label]
             stiff_disc = sign * pooled_disc.get(stiff_label, 0.0)
             density_label = "(u_x)^2" if stiff_label == "uxx" else "(u_xx)^2"

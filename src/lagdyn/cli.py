@@ -35,7 +35,7 @@ _EXIT_BY_CODE = {
 
 
 # (field, accepted type, lower bound, bound excluded) of the numeric settings
-# that reach the simulator unchecked.
+# that reach the simulator and the regressions unchecked.
 _NUMERIC_RANGES = (
     ("seed", int, None, False),
     ("n_real", int, 1, False),
@@ -43,6 +43,10 @@ _NUMERIC_RANGES = (
     ("t_f", (int, float), 0, True),
     ("prediction_n_real", int, 1, False),
     ("prediction_factor", (int, float), 1, False),
+    ("lambda_lagrangian", (int, float), 0, False),
+    ("lambda_diffusion", (int, float), 0, False),
+    ("rcond_lagrangian", (int, float), 0, False),
+    ("rcond_diffusion", (int, float), 0, False),
 )
 
 

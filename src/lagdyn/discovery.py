@@ -69,35 +69,6 @@ def format_terms(kinetic_labels: tuple[str, ...], terms: dict[str, float]) -> st
     return " ".join([head] + rest)
 
 
-def parse_expression(
-    text: str, kinetic_labels: tuple[str, ...] = ()
-) -> dict[str, float]:
-    """Invert format_terms, returning label -> coefficient.
-
-    Kinetic labels (which contain '*' and an implicit unit coefficient)
-    must be supplied so they are not split as coefficient*label.
-    """
-    body = text.split("=", 1)[1] if "=" in text else text
-    tokens = re.split(r"\s+(?=[+-]\s)", body.strip())
-    out: dict[str, float] = {}
-    for token in tokens:
-        token = token.strip()
-        sign = 1.0
-        if token.startswith("+"):
-            token = token[1:].strip()
-        elif token.startswith("-"):
-            sign = -1.0
-            token = token[1:].strip()
-        if token in kinetic_labels:
-            out[token] = sign * 1.0
-            continue
-        if token == "0":
-            continue
-        head, _, label = token.partition("*")
-        out[label] = sign * float(head)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Lagrangian discovery
 # ---------------------------------------------------------------------------
@@ -613,6 +584,9 @@ class EquationsOfMotion:
     ) -> np.ndarray:
         """Drift acceleration of every equation on trajectory samples.
 
+        The samples may be a time series or any batch of states; the
+        discovered systems of the benchmark step through this method.
+
         Args:
             displacement: Positions, shape (n, N_t).
             velocity: Velocities, shape (n, N_t).
@@ -828,13 +802,6 @@ class HamiltonianModel:
                 self.registry[label], displacement, velocity, dx=dx
             )
         return out
-
-    def to_lagrangian_terms(self) -> dict[str, float]:
-        """Invert the transform: non-kinetic term map is an involution."""
-        return {
-            label: _legendre_flip(self.registry[label], coeff)
-            for label, coeff in self.terms.items()
-        }
 
     def to_json(self) -> str:
         payload = {

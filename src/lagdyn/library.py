@@ -464,31 +464,6 @@ def split_kinetic(
 _DISCRETE_KINDS = ("harmonic", "pendulum", "duffing", "3dof")
 _FIELD_KINDS = ("wave", "beam")
 
-_LAGRANGIAN_OPTION_KEYS = {
-    "degree_cap",
-    "include_trig",
-    "velocity_degrees",
-    "position_frequencies",
-    "velocity_frequencies",
-}
-
-_DIFFUSION_OPTION_KEYS = {"include_trig", "include_abs"}
-
-
-def _check_options(options: dict | None, allowed: set, required: set) -> dict:
-    if options is None:
-        return {}
-    if not isinstance(options, dict):
-        raise ConfigError("library options must be a mapping")
-    unknown = set(options) - allowed
-    if unknown:
-        raise ConfigError(f"unknown library options: {sorted(unknown)}")
-    missing = required - set(options)
-    if missing:
-        raise ConfigError(f"library options must specify: {sorted(missing)}")
-    return dict(options)
-
-
 def _coord_names(n: int) -> tuple[list[str], list[str]]:
     if n == 1:
         return ["X"], ["Xd"]
@@ -566,7 +541,7 @@ def _scaled_nodes(n: int, fractions: Sequence[float]) -> list[int]:
 
 
 def _field_lagrangian_bases(
-    kind: str, n: int, degree_cap: int, include_trig: bool
+    kind: str, n: int
 ) -> tuple[list[BasisDescriptor], list[int]]:
     bases: list[BasisDescriptor] = [BasisDescriptor(form="constant", label="1")]
     if kind == "wave":
@@ -606,23 +581,19 @@ def _field_lagrangian_bases(
         bases.append(BasisDescriptor(
             form="monomial", label=f"u{i}^2", coords=(i,), degree=2
         ))
-    if degree_cap >= 4:
-        for i in quartic_nodes:
-            bases.append(BasisDescriptor(
-                form="monomial", label=f"u{i}^4", coords=(i,), degree=4
-            ))
-    if include_trig:
-        for i in trig_nodes:
-            bases.append(BasisDescriptor(
-                form="trig", label=f"sin(3u{i})", coords=(i,), trig="sin",
-                frequency=3.0,
-            ))
+    for i in quartic_nodes:
+        bases.append(BasisDescriptor(
+            form="monomial", label=f"u{i}^4", coords=(i,), degree=4
+        ))
+    for i in trig_nodes:
+        bases.append(BasisDescriptor(
+            form="trig", label=f"sin(3u{i})", coords=(i,), trig="sin",
+            frequency=3.0,
+        ))
     return bases, free
 
 
-def build_lagrangian_library(
-    kind: str, coords: int, options: dict | None = None
-) -> list[CandidateLibrary]:
+def build_lagrangian_library(kind: str, coords: int) -> list[CandidateLibrary]:
     """Build the candidate Lagrangian library for a benchmark class.
 
     Returns one CandidateLibrary per target coordinate (particle for
@@ -634,29 +605,17 @@ def build_lagrangian_library(
     Args:
         kind: One of harmonic, pendulum, duffing, 3dof, wave, beam.
         coords: Number of coordinates (particles or grid nodes).
-        options: None for defaults; otherwise must specify "degree_cap"
-            (>= 2) and "include_trig", with optional "velocity_degrees",
-            "position_frequencies", "velocity_frequencies".
 
     Returns:
         List of per-target CandidateLibrary objects.
     """
-    opts = _check_options(
-        options, _LAGRANGIAN_OPTION_KEYS, {"degree_cap", "include_trig"}
-    )
     if kind not in _DISCRETE_KINDS + _FIELD_KINDS:
         raise ConfigError(f"unknown library kind '{kind}'")
 
     if kind in _FIELD_KINDS:
         if coords < 7:
             raise ConfigError("field libraries need at least 7 grid nodes")
-        degree_cap = opts.get("degree_cap", 4)
-        include_trig = opts.get("include_trig", True)
-        if degree_cap < 2:
-            raise ConfigError("degree cap must be at least 2")
-        bases, free = _field_lagrangian_bases(
-            kind, coords, degree_cap, include_trig
-        )
+        bases, free = _field_lagrangian_bases(kind, coords)
         frozen = tuple(bases)
         labels = [b.label for b in frozen]
         libs = []
@@ -675,41 +634,22 @@ def build_lagrangian_library(
         )
     defaults = {
         "harmonic": dict(degree_cap=3, velocity_degrees=(1, 3),
-                         position_frequencies=(1, 2, 3, 4, 5),
-                         velocity_frequencies=(1, 2, 3, 4),
-                         include_constant=True, pairs=(), pair_degrees=()),
+                         pos_freqs=(1, 2, 3, 4, 5), vel_freqs=(1, 2, 3, 4),
+                         include_constant=True),
         "pendulum": dict(degree_cap=3, velocity_degrees=(1, 3),
-                         position_frequencies=(1, 2, 3, 4, 5),
-                         velocity_frequencies=(1, 2, 3, 4),
-                         include_constant=True, pairs=(), pair_degrees=()),
+                         pos_freqs=(1, 2, 3, 4, 5), vel_freqs=(1, 2, 3, 4),
+                         include_constant=True),
         "duffing": dict(degree_cap=6, velocity_degrees=(1, 3, 4),
-                        position_frequencies=(3,),
-                        velocity_frequencies=(1,),
-                        include_constant=True, pairs=(), pair_degrees=()),
+                        pos_freqs=(3,), vel_freqs=(1,),
+                        include_constant=True),
         "3dof": dict(degree_cap=3, velocity_degrees=(1, 3),
-                     position_frequencies=(1, 2),
-                     velocity_frequencies=(1, 2),
+                     pos_freqs=(1, 2), vel_freqs=(1, 2),
                      include_constant=False,
-                     pairs=((1, 0), (2, 1)), pair_degrees=(2, 3, 4, 5)),
+                     difference_pairs=((1, 0), (2, 1)),
+                     difference_degrees=(2, 3, 4, 5)),
     }[kind]
-    degree_cap = opts.get("degree_cap", defaults["degree_cap"])
-    if degree_cap < 2:
-        raise ConfigError("degree cap must be at least 2")
-    include_trig = opts.get("include_trig", True)
-    pos_freqs = opts.get(
-        "position_frequencies", defaults["position_frequencies"]
-    ) if include_trig else ()
-    vel_freqs = opts.get(
-        "velocity_frequencies", defaults["velocity_frequencies"]
-    ) if include_trig else ()
-    velocity_degrees = opts.get("velocity_degrees", defaults["velocity_degrees"])
-
     pos_names, vel_names = _coord_names(coords)
-    bases = _sde_lagrangian_bases(
-        pos_names, vel_names, degree_cap, velocity_degrees,
-        pos_freqs, vel_freqs, defaults["include_constant"],
-        defaults["pairs"], defaults["pair_degrees"],
-    )
+    bases = _sde_lagrangian_bases(pos_names, vel_names, **defaults)
     frozen = tuple(bases)
     labels = [b.label for b in frozen]
     return [
@@ -722,9 +662,7 @@ def build_lagrangian_library(
     ]
 
 
-def build_diffusion_library(
-    kind: str, coords: int, options: dict | None = None
-) -> list[CandidateLibrary]:
+def build_diffusion_library(kind: str, coords: int) -> list[CandidateLibrary]:
     """Build the candidate diffusion (Wiener potential) library.
 
     Returns one CandidateLibrary per target equation sharing the same
@@ -733,17 +671,9 @@ def build_diffusion_library(
     Args:
         kind: Benchmark class name.
         coords: Number of coordinates.
-        options: None for defaults; a provided mapping must specify
-            "include_trig" and "include_abs" (the minimum composition
-            controls); an empty mapping is rejected.
     """
-    opts = _check_options(
-        options, _DIFFUSION_OPTION_KEYS, {"include_trig", "include_abs"}
-    )
     if kind not in _DISCRETE_KINDS + _FIELD_KINDS:
         raise ConfigError(f"unknown library kind '{kind}'")
-    include_trig = opts.get("include_trig", True)
-    include_abs = opts.get("include_abs", True)
 
     bases: list[BasisDescriptor] = []
     if kind in ("harmonic", "pendulum", "duffing"):
@@ -758,25 +688,19 @@ def build_diffusion_library(
                             on_velocity=True),
             BasisDescriptor(form="product", label="X*Xd", coords=(0, 0),
                             velocity_mask=(False, True)),
+            BasisDescriptor(form="trig", label="sin(X)", coords=(0,),
+                            trig="sin", frequency=1.0),
+            BasisDescriptor(form="trig", label="cos(X)", coords=(0,),
+                            trig="cos", frequency=1.0),
+            BasisDescriptor(form="trig", label="sin(Xd)", coords=(0,),
+                            trig="sin", frequency=1.0, on_velocity=True),
+            BasisDescriptor(form="trig", label="cos(Xd)", coords=(0,),
+                            trig="cos", frequency=1.0, on_velocity=True),
+            BasisDescriptor(form="abs-product", label="X|X|", coords=(0,)),
+            BasisDescriptor(form="abs-product", label="Xd|Xd|", coords=(0,),
+                            on_velocity=True),
+            BasisDescriptor(form="abs", label="|X|", coords=(0,)),
         ]
-        if include_trig:
-            bases += [
-                BasisDescriptor(form="trig", label="sin(X)", coords=(0,),
-                                trig="sin", frequency=1.0),
-                BasisDescriptor(form="trig", label="cos(X)", coords=(0,),
-                                trig="cos", frequency=1.0),
-                BasisDescriptor(form="trig", label="sin(Xd)", coords=(0,),
-                                trig="sin", frequency=1.0, on_velocity=True),
-                BasisDescriptor(form="trig", label="cos(Xd)", coords=(0,),
-                                trig="cos", frequency=1.0, on_velocity=True),
-            ]
-        if include_abs:
-            bases += [
-                BasisDescriptor(form="abs-product", label="X|X|", coords=(0,)),
-                BasisDescriptor(form="abs-product", label="Xd|Xd|", coords=(0,),
-                                on_velocity=True),
-                BasisDescriptor(form="abs", label="|X|", coords=(0,)),
-            ]
         targets = [0]
     elif kind == "3dof":
         if coords != 3:
@@ -797,11 +721,10 @@ def build_diffusion_library(
             bases.append(BasisDescriptor(
                 form="monomial", label=f"{vel_names[i]}^2", coords=(i,),
                 degree=2, on_velocity=True))
-        if include_trig:
-            for i in range(3):
-                bases.append(BasisDescriptor(
-                    form="trig", label=f"sin({pos_names[i]})", coords=(i,),
-                    trig="sin", frequency=1.0))
+        for i in range(3):
+            bases.append(BasisDescriptor(
+                form="trig", label=f"sin({pos_names[i]})", coords=(i,),
+                trig="sin", frequency=1.0))
         bases.append(BasisDescriptor(
             form="product", label="X1*X2", coords=(0, 1),
             velocity_mask=(False, False)))
@@ -834,18 +757,13 @@ def build_diffusion_library(
                                 coords=(mid,), degree=1, derivative_order=1),
                 BasisDescriptor(form="spatial-monomial", label=f"ux{mid}^2",
                                 coords=(mid,), degree=2, derivative_order=1),
+                BasisDescriptor(form="trig", label=f"sin(u{mid})",
+                                coords=(mid,), trig="sin", frequency=1.0),
+                BasisDescriptor(form="trig", label=f"cos(ud{mid})",
+                                coords=(mid,), trig="cos", frequency=1.0,
+                                on_velocity=True),
             ]
-            if include_trig:
-                bases += [
-                    BasisDescriptor(form="trig", label=f"sin(u{mid})",
-                                    coords=(mid,), trig="sin", frequency=1.0),
-                    BasisDescriptor(form="trig", label=f"cos(ud{mid})",
-                                    coords=(mid,), trig="cos", frequency=1.0,
-                                    on_velocity=True),
-                ]
         targets = list(free)
-    if not bases:
-        raise ConfigError("diffusion library composition is empty")
     frozen = tuple(bases)
     return [
         CandidateLibrary(bases=frozen, target_coord=i, kinetic_index=None)

@@ -1,9 +1,9 @@
-"""Finite-difference derivative estimation on uniform and non-uniform grids.
+"""Finite-difference time derivatives of uniformly sampled trajectories.
 
-Temporal stencils operate along the last axis of an array so that batched
+The stencils operate along the last axis of an array so that batched
 trajectory data of shape (..., N_t) differentiates in one call. Spatial
-stencils for field data operate along a chosen axis via dense banded
-operator matrices built from Fornberg interpolation weights.
+derivatives of fields live with the basis library (library) and the field
+operators (sim).
 
 Example:
     >>> import numpy as np
@@ -15,8 +15,6 @@ Example:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Declared truncation orders used by the convergence self-checks.
@@ -24,10 +22,6 @@ DECLARED_ORDERS = {
     "central_first_derivative": 2,
     "central_second_derivative": 2,
     "forward_first_derivative": 1,
-    "field_spatial_order_1": 2,
-    "field_spatial_order_2": 2,
-    "field_spatial_order_3": 2,
-    "field_spatial_order_4": 2,
 }
 
 
@@ -118,175 +112,4 @@ def central_second_derivative(series: np.ndarray, dt: float) -> np.ndarray:
     else:
         out[..., 0] = out[..., 1]
         out[..., -1] = out[..., 1]
-    return out
-
-
-@dataclass(frozen=True)
-class StencilResult:
-    """Derivatives of a three-point Lagrange interpolant at one point.
-
-    Attributes:
-        first_derivative: Estimate of dy/dx at the evaluation point.
-        second_derivative: Estimate of d2y/dx2 (constant over the stencil).
-        truncation_order: Guaranteed joint order of the two estimates at a
-            node of the stencil: 2 on an equally spaced stencil, 1 otherwise
-            (the second derivative is the binding one off uniform grids).
-    """
-
-    first_derivative: float
-    second_derivative: float
-    truncation_order: int
-
-
-def lagrange_three_point(
-    w0: float, w1: float, w2: float, h1: float, h2: float, s: float
-) -> StencilResult:
-    """Derivatives from a parabola through three non-uniformly spaced samples.
-
-    The samples sit at abscissae x0, x0 + h1, x0 + h1 + h2 with values
-    w0, w1, w2. Derivatives are evaluated at x0 + (s + 1) * h1, so
-    s = -1 targets the first node, s = 0 the middle node, and s = h2 / h1
-    the last node. Any real s is accepted; the quoted truncation order
-    applies at the nodes.
-
-    Args:
-        w0: Sample at the first node.
-        w1: Sample at the second node.
-        w2: Sample at the third node.
-        h1: Spacing between the first two nodes, > 0.
-        h2: Spacing between the last two nodes, > 0.
-        s: Evaluation-point selector (see above).
-
-    Returns:
-        StencilResult with both derivatives and the truncation order.
-    """
-    if h1 <= 0 or h2 <= 0:
-        raise ValueError("steps h1, h2 must be positive")
-    span = h1 + h2
-    # First-derivative weights of the interpolating parabola at (s+1)*h1.
-    c0 = (2.0 * s * h1 - h2) / (h1 * span)
-    c1 = (h2 - (2.0 * s + 1.0) * h1) / (h1 * h2)
-    c2 = ((2.0 * s + 1.0) * h1) / (h2 * span)
-    first = c0 * w0 + c1 * w1 + c2 * w2
-    # The parabola's second derivative is constant, independent of s.
-    second = 2.0 * (h2 * w0 - span * w1 + h1 * w2) / (h1 * h2 * span)
-    order = 2 if abs(h1 - h2) <= 1e-12 * max(h1, h2) else 1
-    return StencilResult(first, second, order)
-
-
-def finite_difference_weights(x: np.ndarray, x0: float, max_order: int) -> np.ndarray:
-    """Interpolation-based finite-difference weights on an arbitrary grid.
-
-    Fornberg's recursion: given sample abscissae ``x`` and an evaluation
-    point ``x0``, returns weights such that ``weights[:, m] @ f(x)``
-    approximates the m-th derivative of f at x0, for m = 0..max_order.
-
-    Args:
-        x: Distinct sample abscissae, shape (n,), n >= max_order + 1.
-        x0: Evaluation point.
-        max_order: Highest derivative order required.
-
-    Returns:
-        Array of shape (n, max_order + 1).
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if n < max_order + 1:
-        raise ValueError("need at least max_order + 1 sample points")
-    c = np.zeros((n, max_order + 1))
-    c1 = 1.0
-    c4 = x[0] - x0
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, max_order)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c
-
-
-# Interior central stencil width per derivative order (second-order accurate).
-_CENTRAL_WIDTH = {1: 3, 2: 3, 3: 5, 4: 5}
-# One-sided stencil widths chosen so boundary rows are at least second order;
-# the wider stencils for orders 3 and 4 keep their error constants small.
-_BOUNDARY_WIDTH = {1: 3, 2: 4, 3: 6, 4: 7}
-
-
-def spatial_operator(n: int, dx: float, order: int) -> np.ndarray:
-    """Dense n-by-n matrix applying a spatial derivative of given order.
-
-    Interior rows hold the standard second-order central stencil; rows too
-    close to either edge hold shifted one-sided stencils of at least the
-    same accuracy.
-
-    Args:
-        n: Number of grid nodes.
-        dx: Uniform node spacing, > 0.
-        order: Derivative order, 1 to 4.
-
-    Returns:
-        Array of shape (n, n).
-    """
-    if order not in _CENTRAL_WIDTH:
-        raise ValueError("order must be 1, 2, 3, or 4")
-    if dx <= 0:
-        raise ValueError("dx must be positive")
-    width = _CENTRAL_WIDTH[order]
-    bwidth = min(_BOUNDARY_WIDTH[order], n)
-    if n < max(width, order + 2):
-        raise ValueError(f"grid too small for order-{order} derivative")
-    half = (width - 1) // 2
-    op = np.zeros((n, n))
-    offsets = np.arange(width, dtype=float) - half
-    central = finite_difference_weights(offsets, 0.0, order)[:, order]
-    for i in range(half, n - half):
-        op[i, i - half : i + half + 1] = central
-    for i in range(half):
-        pts = np.arange(bwidth, dtype=float)
-        op[i, :bwidth] = finite_difference_weights(pts, float(i), order)[:, order]
-        j = n - 1 - i
-        pts = np.arange(n - bwidth, n, dtype=float)
-        op[j, n - bwidth :] = finite_difference_weights(pts, float(j), order)[:, order]
-    op /= dx**order
-    return op
-
-
-def field_spatial_derivatives(
-    field: np.ndarray, dx: float, max_order: int = 4, axis: int = 0
-) -> dict[int, np.ndarray]:
-    """Spatial derivatives of a sampled field up to the requested order.
-
-    Args:
-        field: Sampled field; the spatial grid runs along ``axis``
-            (axis 0 for the conventional n-by-N_t layout).
-        dx: Uniform node spacing, > 0.
-        max_order: Highest derivative order, 1 to 4.
-        axis: Axis of ``field`` holding the spatial grid.
-
-    Returns:
-        Dict mapping each order m in 1..max_order to an array shaped like
-        ``field`` containing the m-th spatial derivative.
-    """
-    if not 1 <= max_order <= 4:
-        raise ValueError("max_order must be between 1 and 4")
-    f = np.asarray(field, dtype=float)
-    f = np.moveaxis(f, axis, 0)
-    n = f.shape[0]
-    flat = f.reshape(n, -1)
-    out: dict[int, np.ndarray] = {}
-    for m in range(1, max_order + 1):
-        op = spatial_operator(n, dx, m)
-        dm = (op @ flat).reshape(f.shape)
-        out[m] = np.moveaxis(dm, 0, axis)
     return out

@@ -11,7 +11,6 @@ a SplitMix-style mix of (base_seed, k).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,19 +57,6 @@ class NoiseStream:
     def standard_normals(self, shape) -> np.ndarray:
         """Draw a block of independent standard normal samples."""
         return self._rng.standard_normal(shape)
-
-    def increments(self, n: int, dt: float) -> np.ndarray:
-        """Draw n Wiener increments, distributed Normal(0, dt)."""
-        if n < 1:
-            raise ValueError("need at least one increment")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        return np.sqrt(dt) * self.standard_normals(n)
-
-
-def wiener_increments(n: int, dt: float, seed: int) -> np.ndarray:
-    """Deterministic vector of n i.i.d. Normal(0, dt) increments."""
-    return NoiseStream(seed).increments(n, dt)
 
 
 @dataclass(frozen=True)
@@ -149,7 +135,7 @@ class Ensemble:
 
     Attributes:
         dt: Sampling step.
-        n_steps: Number of stored time samples per realization (N_t).
+        n_steps: Number of stored time samples per realization (N_t), >= 2.
         n_real: Number of realizations (N).
         coords: Number of coordinates (n).
         displacement: Array of shape (N, n, N_t).
@@ -171,6 +157,8 @@ class Ensemble:
             raise ValueError(f"ensemble arrays must have shape {shape}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.n_steps < 2:
+            raise ValueError("an ensemble needs at least 2 samples per realization")
         if not np.all(np.isfinite(self.displacement)) or not np.all(
             np.isfinite(self.velocity)
         ):
@@ -870,209 +858,95 @@ def generate_ensemble(
 
 
 # ---------------------------------------------------------------------------
-# Benchmark systems
+# System specs and field operators
 # ---------------------------------------------------------------------------
 
 
-def _mechanical_spec(
+def second_order_spec(
     name: str,
     accel: Callable[[np.ndarray], np.ndarray],
-    accel_jacobian: Callable[[np.ndarray], np.ndarray],
     gains: np.ndarray,
     initial: np.ndarray,
     params: dict,
+    accel_jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
+    geometry: FieldGeometry | None = None,
 ) -> SystemSpec:
-    """Assemble a SystemSpec for u'' = accel(u) + gains * white noise."""
+    """SystemSpec for u'' = accel(u) + gains * white noise.
+
+    The state concatenates the displacement and velocity blocks. With a
+    grid geometry the system is a field ("spde") whose constrained nodes
+    get zero gain; without one it is finite-dimensional ("sde").
+
+    Args:
+        name: Identifier.
+        accel: Map displacement (..., n) -> acceleration (..., n).
+        gains: Noise gain per coordinate, shape (n,).
+        initial: Start state, shape (2n,).
+        params: Named parameters, the simulation protocol included.
+        accel_jacobian: Map displacement (..., n) -> d accel / du, shape
+            (..., n, n); the Taylor integrator needs it.
+        geometry: Grid of a field system.
+    """
     n = gains.size
+    g_full = np.concatenate([np.zeros(n), gains])
+    if geometry is not None:
+        g_full[[n + i for i in geometry.constrained]] = 0.0
 
     def drift(y: np.ndarray) -> np.ndarray:
         u, v = y[..., :n], y[..., n:]
         return np.concatenate([v, accel(u)], axis=-1)
 
     def jacobian(y: np.ndarray) -> np.ndarray:
-        u = y[..., :n]
-        ju = accel_jacobian(u)
         jac = np.zeros(y.shape[:-1] + (2 * n, 2 * n))
         jac[..., :n, n:] = np.eye(n)
-        jac[..., n:, :n] = ju
+        jac[..., n:, :n] = accel_jacobian(y[..., :n])
         return jac
-
-    g_full = np.concatenate([np.zeros(n), gains])
-
-    def volatility(y: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(g_full, y.shape)
 
     return SystemSpec(
         name=name,
-        kind="sde",
+        kind="sde" if geometry is None else "spde",
         dim=n,
         drift=drift,
-        volatility=volatility,
-        initial_state=np.asarray(initial, dtype=float),
+        volatility=lambda y: np.broadcast_to(g_full, y.shape),
+        initial_state=np.array(initial, dtype=float),
         params=params,
-        drift_jacobian=jacobian,
-        acceleration=accel,
-    )
-
-
-def _harmonic_spec() -> SystemSpec:
-    k_over_m = 1000.0
-
-    def accel(u):
-        return -k_over_m * u
-
-    def accel_jac(u):
-        jac = np.zeros(u.shape[:-1] + (1, 1))
-        jac[..., 0, 0] = -k_over_m
-        return jac
-
-    params = {
-        "mass": 1.0,
-        "stiffness": 1000.0,
-        "noise_strength": 1.0,
-        "t_final": 1.0,
-        "sample_rate": 10000.0,
-        "n_realizations": 200,
-    }
-    return _mechanical_spec(
-        "harmonic", accel, accel_jac, np.array([1.0]), [0.5, 0.0], params
-    )
-
-
-def _pendulum_spec() -> SystemSpec:
-    g_over_l = 9.81
-    gain = 0.1  # sigma / (m l^2)
-
-    def accel(u):
-        return -g_over_l * np.sin(u)
-
-    def accel_jac(u):
-        jac = np.zeros(u.shape[:-1] + (1, 1))
-        jac[..., 0, 0] = -g_over_l * np.cos(u[..., 0])
-        return jac
-
-    params = {
-        "mass": 1.0,
-        "length": 1.0,
-        "gravity": 9.81,
-        "noise_strength": 0.1,
-        "t_final": 5.0,
-        "sample_rate": 2000.0,
-        "n_realizations": 200,
-    }
-    return _mechanical_spec(
-        "pendulum", accel, accel_jac, np.array([gain]), [0.9, 0.0], params
-    )
-
-
-def _duffing_spec() -> SystemSpec:
-    k = 1000.0
-    cubic = 2500.0
-
-    def accel(u):
-        return -k * u - cubic * u**3
-
-    def accel_jac(u):
-        jac = np.zeros(u.shape[:-1] + (1, 1))
-        jac[..., 0, 0] = -k - 3.0 * cubic * u[..., 0] ** 2
-        return jac
-
-    params = {
-        "stiffness": 1000.0,
-        "cubic_stiffness": 2500.0,
-        "noise_strength": 1.0,
-        "t_final": 1.0,
-        "sample_rate": 10000.0,
-        "n_realizations": 200,
-    }
-    return _mechanical_spec(
-        "duffing", accel, accel_jac, np.array([1.0]), [0.4, 0.0], params
-    )
-
-
-def _three_dof_spec() -> SystemSpec:
-    k_over_m = 1000.0
-    block = -k_over_m * np.array(
-        [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]
-    )
-
-    def accel(u):
-        return u @ block.T
-
-    def accel_jac(u):
-        return np.broadcast_to(block, u.shape[:-1] + (3, 3))
-
-    params = {
-        "mass": 10.0,
-        "stiffness": 10000.0,
-        "noise_strength": 1.0,
-        "t_final": 1.0,
-        "sample_rate": 10000.0,
-        "n_realizations": 200,
-    }
-    initial = [0.25, 0.5, 0.0, 0.0, 0.0, 0.0]
-    return _mechanical_spec(
-        "3dof", accel, accel_jac, np.array([1.0, 1.0, 1.0]), initial, params
-    )
-
-
-def _wave_spec() -> SystemSpec:
-    c = 2.0
-    sigma = 2.0
-    geometry = FieldGeometry(length=1.0, dx=0.01, boundary="pinned-both",
-                             constrained=(0, 100))
-    n = geometry.n_nodes
-    c2_over_dx2 = c * c / geometry.dx**2
-
-    def accel(u):
-        a = np.zeros_like(u)
-        a[..., 1:-1] = c2_over_dx2 * (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2])
-        return a
-
-    def drift(y):
-        u, v = y[..., :n], y[..., n:]
-        return np.concatenate([v, accel(u)], axis=-1)
-
-    gains = np.full(n, sigma)
-    gains[list(geometry.constrained)] = 0.0
-    g_full = np.concatenate([np.zeros(n), gains])
-
-    def volatility(y):
-        return np.broadcast_to(g_full, y.shape)
-
-    x = geometry.grid
-    u0 = np.cos(2.0 * np.pi * x)
-    u0[list(geometry.constrained)] = 0.0
-    params = {
-        "wave_speed": 2.0,
-        "noise_strength": 2.0,
-        "t_final": 1.0,
-        "sample_rate": 10000.0,
-        "n_realizations": 30,
-        "max_stable_dt": geometry.dx / c,
-    }
-    return SystemSpec(
-        name="wave",
-        kind="spde",
-        dim=n,
-        drift=drift,
-        volatility=volatility,
-        initial_state=np.concatenate([u0, np.zeros(n)]),
-        params=params,
+        drift_jacobian=None if accel_jacobian is None else jacobian,
         acceleration=accel,
         spatial=geometry,
     )
 
 
-def cantilever_mode_shape(x: np.ndarray, wavenumber: float, length: float) -> np.ndarray:
-    """First transverse vibration mode of a clamped-free beam."""
-    psi = wavenumber
-    ratio = (np.cos(psi * length) + np.cosh(psi * length)) / (
-        np.sin(psi * length) + np.sinh(psi * length)
-    )
-    return (np.cosh(psi * x) - np.cos(psi * x)) + ratio * (
-        np.sin(psi * x) - np.sinh(psi * x)
-    )
+def laplacian_operator(stiffness: float, dx: float):
+    """Acceleration stiffness * u_xx of a field pinned at both ends.
+
+    Returns:
+        (accel, max_stable_dt): the central [1, -2, 1] / dx^2 stencil, zero
+        at the end nodes, and the kick-drift stability limit
+        dx / sqrt(stiffness).
+    """
+    scale = stiffness / dx**2
+
+    def accel(u):
+        a = np.zeros_like(u)
+        a[..., 1:-1] = scale * (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2])
+        return a
+
+    return accel, float(dx / np.sqrt(stiffness))
+
+
+def biharmonic_operator(stiffness: float, dx: float):
+    """Acceleration -stiffness * u_xxxx of a clamped-free beam.
+
+    Returns:
+        (accel, max_stable_dt): the ghost-node biharmonic of
+        _beam_biharmonic and the kick-drift stability limit
+        dx^2 / (2 sqrt(stiffness)).
+    """
+
+    def accel(u):
+        return -stiffness * _beam_biharmonic(u, dx)
+
+    return accel, float(dx**2 / (2.0 * np.sqrt(stiffness)))
 
 
 def _beam_biharmonic(u: np.ndarray, dx: float) -> np.ndarray:
@@ -1101,29 +975,152 @@ def _beam_biharmonic(u: np.ndarray, dx: float) -> np.ndarray:
     return d4
 
 
+# ---------------------------------------------------------------------------
+# Benchmark systems
+# ---------------------------------------------------------------------------
+
+
+def _harmonic_spec() -> SystemSpec:
+    k_over_m = 1000.0
+
+    def accel(u):
+        return -k_over_m * u
+
+    def accel_jac(u):
+        jac = np.zeros(u.shape[:-1] + (1, 1))
+        jac[..., 0, 0] = -k_over_m
+        return jac
+
+    params = {
+        "mass": 1.0,
+        "stiffness": 1000.0,
+        "noise_strength": 1.0,
+        "t_final": 1.0,
+        "sample_rate": 10000.0,
+        "n_realizations": 200,
+    }
+    return second_order_spec(
+        "harmonic", accel, np.array([1.0]), [0.5, 0.0], params, accel_jac
+    )
+
+
+def _pendulum_spec() -> SystemSpec:
+    g_over_l = 9.81
+    gain = 0.1  # sigma / (m l^2)
+
+    def accel(u):
+        return -g_over_l * np.sin(u)
+
+    def accel_jac(u):
+        jac = np.zeros(u.shape[:-1] + (1, 1))
+        jac[..., 0, 0] = -g_over_l * np.cos(u[..., 0])
+        return jac
+
+    params = {
+        "mass": 1.0,
+        "length": 1.0,
+        "gravity": 9.81,
+        "noise_strength": 0.1,
+        "t_final": 5.0,
+        "sample_rate": 2000.0,
+        "n_realizations": 200,
+    }
+    return second_order_spec(
+        "pendulum", accel, np.array([gain]), [0.9, 0.0], params, accel_jac
+    )
+
+
+def _duffing_spec() -> SystemSpec:
+    k = 1000.0
+    cubic = 2500.0
+
+    def accel(u):
+        return -k * u - cubic * u**3
+
+    def accel_jac(u):
+        jac = np.zeros(u.shape[:-1] + (1, 1))
+        jac[..., 0, 0] = -k - 3.0 * cubic * u[..., 0] ** 2
+        return jac
+
+    params = {
+        "stiffness": 1000.0,
+        "cubic_stiffness": 2500.0,
+        "noise_strength": 1.0,
+        "t_final": 1.0,
+        "sample_rate": 10000.0,
+        "n_realizations": 200,
+    }
+    return second_order_spec(
+        "duffing", accel, np.array([1.0]), [0.4, 0.0], params, accel_jac
+    )
+
+
+def _three_dof_spec() -> SystemSpec:
+    k_over_m = 1000.0
+    block = -k_over_m * np.array(
+        [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]
+    )
+
+    def accel(u):
+        return u @ block.T
+
+    def accel_jac(u):
+        return np.broadcast_to(block, u.shape[:-1] + (3, 3))
+
+    params = {
+        "mass": 10.0,
+        "stiffness": 10000.0,
+        "noise_strength": 1.0,
+        "t_final": 1.0,
+        "sample_rate": 10000.0,
+        "n_realizations": 200,
+    }
+    initial = [0.25, 0.5, 0.0, 0.0, 0.0, 0.0]
+    return second_order_spec(
+        "3dof", accel, np.array([1.0, 1.0, 1.0]), initial, params, accel_jac
+    )
+
+
+def _wave_spec() -> SystemSpec:
+    c = 2.0
+    geometry = FieldGeometry(length=1.0, dx=0.01, boundary="pinned-both",
+                             constrained=(0, 100))
+    n = geometry.n_nodes
+    accel, max_stable_dt = laplacian_operator(c * c, geometry.dx)
+    u0 = np.cos(2.0 * np.pi * geometry.grid)
+    u0[list(geometry.constrained)] = 0.0
+    params = {
+        "wave_speed": 2.0,
+        "noise_strength": 2.0,
+        "t_final": 1.0,
+        "sample_rate": 10000.0,
+        "n_realizations": 30,
+        "max_stable_dt": max_stable_dt,
+    }
+    return second_order_spec("wave", accel, np.full(n, 2.0),
+                             np.concatenate([u0, np.zeros(n)]), params,
+                             geometry=geometry)
+
+
+def cantilever_mode_shape(x: np.ndarray, wavenumber: float, length: float) -> np.ndarray:
+    """First transverse vibration mode of a clamped-free beam."""
+    psi = wavenumber
+    ratio = (np.cos(psi * length) + np.cosh(psi * length)) / (
+        np.sin(psi * length) + np.sinh(psi * length)
+    )
+    return (np.cosh(psi * x) - np.cos(psi * x)) + ratio * (
+        np.sin(psi * x) - np.sinh(psi * x)
+    )
+
+
 def _beam_spec() -> SystemSpec:
     # Effective stiffness ratio of the flexural term; the bending wave
     # speed scale is sqrt(stiffness_ratio).
     stiffness_ratio = 0.1035
-    sigma = 20.0
     geometry = FieldGeometry(length=1.0, dx=0.01, boundary="clamped-free",
                              constrained=(0,))
     n = geometry.n_nodes
-
-    def accel(u):
-        return -stiffness_ratio * _beam_biharmonic(u, geometry.dx)
-
-    def drift(y):
-        u, v = y[..., :n], y[..., n:]
-        return np.concatenate([v, accel(u)], axis=-1)
-
-    gains = np.full(n, sigma)
-    gains[list(geometry.constrained)] = 0.0
-    g_full = np.concatenate([np.zeros(n), gains])
-
-    def volatility(y):
-        return np.broadcast_to(g_full, y.shape)
-
+    accel, max_stable_dt = biharmonic_operator(stiffness_ratio, geometry.dx)
     psi = 0.596864 * np.pi
     u0 = cantilever_mode_shape(geometry.grid, psi, geometry.length)
     u0[list(geometry.constrained)] = 0.0
@@ -1137,19 +1134,11 @@ def _beam_spec() -> SystemSpec:
         "t_final": 2.0,
         "sample_rate": 10000.0,
         "n_realizations": 20,
-        "max_stable_dt": geometry.dx**2 / (2.0 * np.sqrt(stiffness_ratio)),
+        "max_stable_dt": max_stable_dt,
     }
-    return SystemSpec(
-        name="beam",
-        kind="spde",
-        dim=n,
-        drift=drift,
-        volatility=volatility,
-        initial_state=np.concatenate([u0, np.zeros(n)]),
-        params=params,
-        acceleration=accel,
-        spatial=geometry,
-    )
+    return second_order_spec("beam", accel, np.full(n, 20.0),
+                             np.concatenate([u0, np.zeros(n)]), params,
+                             geometry=geometry)
 
 
 _BENCHMARKS: dict[str, Callable[[], SystemSpec]] = {
@@ -1253,32 +1242,3 @@ def load_ensemble(path: str | Path) -> Ensemble:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid ensemble in {path}: {exc}") from exc
-
-
-def ensemble_to_csv(ens: Ensemble, path: str | Path, realization: int | None = None) -> None:
-    """Export one realization (or the ensemble mean) as CSV.
-
-    Columns: t, then displacement per coordinate, then velocity per
-    coordinate. Intended for small cases; large grids produce wide files.
-    """
-    path = Path(path)
-    if realization is None:
-        disp = ens.displacement.mean(axis=0)
-        vel = ens.velocity.mean(axis=0)
-    else:
-        disp = ens.displacement[realization]
-        vel = ens.velocity[realization]
-    t = ens.times
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = (
-            ["t"]
-            + [f"u{i + 1}" for i in range(ens.coords)]
-            + [f"v{i + 1}" for i in range(ens.coords)]
-        )
-        writer.writerow(header)
-        for j in range(ens.n_steps):
-            row = [repr(float(t[j]))]
-            row += [repr(float(x)) for x in disp[:, j]]
-            row += [repr(float(x)) for x in vel[:, j]]
-            writer.writerow(row)

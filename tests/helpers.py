@@ -24,44 +24,6 @@ def silence(spec: sim.SystemSpec) -> sim.SystemSpec:
     )
 
 
-def mechanical_spec(
-    name: str,
-    accel,
-    accel_jacobian,
-    gains: np.ndarray,
-    initial: np.ndarray,
-) -> sim.SystemSpec:
-    """SystemSpec for u'' = accel(u) + gains * white noise.
-
-    The state concatenates displacement and velocity blocks, matching the
-    ensemble container layout.
-    """
-    n = gains.size
-
-    def drift(y):
-        u, v = y[..., :n], y[..., n:]
-        return np.concatenate([v, accel(u)], axis=-1)
-
-    def jacobian(y):
-        u = y[..., :n]
-        jac = np.zeros(y.shape[:-1] + (2 * n, 2 * n))
-        jac[..., :n, n:] = np.eye(n)
-        jac[..., n:, :n] = accel_jacobian(u)
-        return jac
-
-    g_full = np.concatenate([np.zeros(n), gains])
-    return sim.SystemSpec(
-        name=name,
-        kind="sde",
-        dim=n,
-        drift=drift,
-        volatility=lambda y: np.broadcast_to(g_full, np.shape(y)),
-        initial_state=np.asarray(initial, dtype=float),
-        drift_jacobian=jacobian,
-        acceleration=accel,
-    )
-
-
 def geometric_ou_spec() -> sim.SystemSpec:
     """dX = -X dt + X dW: multiplicative noise, exactly solvable.
 

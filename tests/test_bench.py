@@ -84,6 +84,43 @@ def test_discovered_field_spec_rejects_sign_flip():
         bench.discovered_field_spec(spec, flipped)
 
 
+@pytest.mark.parametrize("name", ["harmonic", "pendulum", "duffing", "3dof"])
+def test_discovered_particle_spec_reproduces_benchmark(name):
+    # Built from the true equations, the discovered system evaluates the
+    # benchmark's drift and Jacobian through the library's basis terms.
+    spec = sim.benchmark_spec(name)
+    _, eom = bench.true_models(name, spec, bench.DEFAULT_CONFIGS[name])
+    found = bench.discovered_particle_spec(spec, eom)
+    states = np.random.default_rng(5).uniform(-1.0, 1.0, (64, 2 * spec.dim))
+    for fn in ("drift", "drift_jacobian"):
+        got = getattr(found, fn)(states)
+        want = getattr(spec, fn)(states)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(found.volatility(states), spec.volatility(states))
+    single = found.drift(states[0])
+    assert single.shape == (2 * spec.dim,)
+    assert np.array_equal(single, found.drift(states[:1])[0])
+
+
+@pytest.mark.parametrize("name", ["wave", "beam"])
+def test_discovered_field_spec_reproduces_benchmark(name):
+    spec = sim.benchmark_spec(name)
+    _, eom = bench.true_models(name, spec, bench.DEFAULT_CONFIGS[name])
+    found = bench.discovered_field_spec(spec, eom)
+    u = np.random.default_rng(6).normal(size=(8, spec.dim))
+    got, want = found.acceleration(u), spec.acceleration(u)
+    if name == "wave":
+        assert np.array_equal(got, want)
+    else:
+        # The pooled stiffness is a mean of five equal node coefficients.
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert found.params["max_stable_dt"] == pytest.approx(
+        spec.params["max_stable_dt"], rel=1e-12)
+    state = spec.initial_state
+    assert np.array_equal(found.volatility(state), spec.volatility(state))
+
+
 # ---------------------------------------------------------------------------
 # Prediction comparison
 # ---------------------------------------------------------------------------

@@ -101,32 +101,74 @@ def test_missing_ensemble_exits_4(tmp_path):
                 "--ensemble", str(tmp_path / "missing.bin")]) == 4
 
 
-def test_negative_dt_flag_exits_2_with_one_line(tmp_path, capsys):
-    assert run(["simulate", "--system", "harmonic", "--dt", "-1",
-                "--output-dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "dt must be" in err
+def _config_file(data):
+    def build(tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        return ["simulate", "--system", "harmonic", "--config", str(path)]
+    return build
 
 
-def test_non_integer_seed_in_config_exits_2(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": "abc"}))
-    assert run(["simulate", "--system", "harmonic", "--config", str(path),
-                "--output-dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "seed must be an integer" in err
-
-
-def test_truncated_ensemble_exits_2(tmp_path, capsys):
+def _truncated_container(tmp_path):
     assert run(["simulate", "--system", "harmonic", *FAST,
                 "--output-dir", str(tmp_path)]) == 0
     path = tmp_path / "harmonic_ensemble.bin"
     path.write_bytes(path.read_bytes()[:-8])
+    return ["discover", "--system", "harmonic", "--ensemble", str(path)]
+
+
+def _one_sample_container(tmp_path):
+    # A well-formed container holding a single time sample per realization.
+    path = tmp_path / "short.bin"
+    header = {"format": "ensemble-v1", "dt": 1e-4, "n_real": 2, "coords": 1,
+              "n_steps": 1, "spatial_grid": None}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(32))
+    return ["discover", "--system", "harmonic", "--ensemble", str(path)]
+
+
+def _flags(*argv):
+    return lambda tmp_path: list(argv)
+
+
+# One row per bad input that reaches the CLI: (argv builder, exit code,
+# fragment of the one-line message).
+BAD_INPUTS = [
+    pytest.param(_flags("simulate", "--system", "harmonic", "--dt", "-1"),
+                 2, "dt must be", id="negative-dt-flag"),
+    pytest.param(_config_file({"seed": "abc"}), 2, "seed must be an integer",
+                 id="non-integer-seed-in-config"),
+    pytest.param(_truncated_container, 2, "truncated",
+                 id="truncated-ensemble"),
+    pytest.param(_flags("discover", "--system", "harmonic", "--t-f", "0.00001",
+                        "--n-real", "2"),
+                 2, "shorter than one step", id="discover-window-below-one-step"),
+    pytest.param(_flags("bench", "--only", "wave", "--t-f", "0.00001"),
+                 2, "shorter than one step", id="bench-window-below-one-step"),
+    pytest.param(_one_sample_container, 2, "at least 2 samples",
+                 id="one-sample-ensemble"),
+    pytest.param(_config_file({"lambda_lagrangian": "abc"}), 2,
+                 "lambda_lagrangian must be a number",
+                 id="string-lambda-in-config"),
+    pytest.param(_flags("discover", "--system", "harmonic", *FAST,
+                        "--lambda-lagrangian", "-1"),
+                 2, "lambda_lagrangian must be", id="negative-lambda-flag"),
+    pytest.param(_flags("bench", "--only", "harmonic", *FAST,
+                        "--lambda-lagrangian", "nan"),
+                 2, "lambda_lagrangian must be", id="nan-lambda-flag"),
+    pytest.param(_flags("discover", "--system", "harmonic", *FAST,
+                        "--rcond-diffusion", "inf"),
+                 2, "rcond_diffusion must be", id="infinite-rcond-flag"),
+]
+
+
+@pytest.mark.parametrize("build, code, message", BAD_INPUTS)
+def test_bad_input_exits_with_one_line(tmp_path, capsys, build, code, message):
+    argv = build(tmp_path) + ["--output-dir", str(tmp_path)]
     capsys.readouterr()
-    assert run(["discover", "--system", "harmonic", "--ensemble", str(path),
-                "--output-dir", str(tmp_path)]) == 2
+    assert run(argv) == code
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "truncated" in err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert message in err and "Traceback" not in err
 
 
 def test_discovery_failure_exits_5(tmp_path):

@@ -87,17 +87,6 @@ class TestExpressionFormatting:
     def test_empty_is_zero(self):
         assert dv.format_terms((), {}) == "0"
 
-    def test_parse_round_trip_is_exact(self):
-        terms = {"X^2": -499.8912345, "cos(X)": 9.8091234, "X^4": -626.63}
-        text = dv.format_terms(("0.5*Xd^2",), terms)
-        parsed = dv.parse_expression(text, ("0.5*Xd^2",))
-        assert parsed.pop("0.5*Xd^2") == 1.0
-        assert parsed == terms
-
-    def test_parse_strips_equation_head(self):
-        parsed = dv.parse_expression("L = 0.5*Xd^2 - 500.0*X^2", ("0.5*Xd^2",))
-        assert parsed == {"0.5*Xd^2": 1.0, "X^2": -500.0}
-
 
 class TestLagrangianDiscovery:
     def test_quiet_support_and_coefficient(self, quiet_harmonic_run):
@@ -307,7 +296,6 @@ class TestHamiltonian:
         )
         ham = dv.legendre_transform(model)
         assert ham.terms == {"X^2": 500.0, "X^4": 625.0}
-        assert ham.to_lagrangian_terms() == model.total
 
     def test_threedof_kinetic_block_formatting(self):
         libs = lb.build_lagrangian_library("3dof", 3)
@@ -373,9 +361,9 @@ class TestSelfConsistency:
             jac[..., 0, 0] = -k_hat
             return jac
 
-        spec = helpers.mechanical_spec(
-            "rediscovered-harmonic", accel, accel_jac, np.array([g_hat]),
-            np.array([0.5, 0.0]),
+        spec = sim.second_order_spec(
+            "rediscovered-harmonic", accel, np.array([g_hat]),
+            np.array([0.5, 0.0]), {}, accel_jac,
         )
         ens = sim.generate_ensemble(spec, dt=1e-4, t_f=1.0, n_real=200,
                                     base_seed=999)

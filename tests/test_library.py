@@ -322,34 +322,11 @@ def test_diffusion_compositions():
 
 def test_library_options_contract():
     with pytest.raises(ConfigError):
-        lb.build_lagrangian_library("harmonic", 1, options={})
-    with pytest.raises(ConfigError):
-        lb.build_lagrangian_library("harmonic", 1, options={"degree_cap": 3})
-    with pytest.raises(ConfigError):
-        lb.build_lagrangian_library(
-            "harmonic", 1, options={"degree_cap": 1, "include_trig": True}
-        )
-    with pytest.raises(ConfigError):
-        lb.build_lagrangian_library(
-            "harmonic", 1,
-            options={"degree_cap": 3, "include_trig": True, "bogus": 1},
-        )
-    with pytest.raises(ConfigError):
         lb.build_lagrangian_library("vortex", 1)
     with pytest.raises(ConfigError):
         lb.build_lagrangian_library("3dof", 2)
     with pytest.raises(ConfigError):
         lb.build_lagrangian_library("wave", 5)
-    slim = lb.build_lagrangian_library(
-        "harmonic", 1, options={"degree_cap": 2, "include_trig": False}
-    )[0]
-    assert slim.labels == ("1", "0.5*Xd^2", "X", "X^2", "Xd", "Xd^3")
-    with pytest.raises(ConfigError):
-        lb.build_diffusion_library("harmonic", 1, options={})
-    lean = lb.build_diffusion_library(
-        "harmonic", 1, options={"include_trig": False, "include_abs": False}
-    )[0]
-    assert lean.labels == ("X", "Xd", "X^2", "Xd^2", "X*Xd")
 
 
 def test_candidate_library_validation():

@@ -13,11 +13,7 @@ from lagdyn.numdiff import (
     DECLARED_ORDERS,
     central_first_derivative,
     central_second_derivative,
-    field_spatial_derivatives,
-    finite_difference_weights,
     forward_first_derivative,
-    lagrange_three_point,
-    spatial_operator,
 )
 
 
@@ -118,165 +114,6 @@ class TestCentralSecondDerivative:
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
             central_second_derivative(np.zeros(2), 0.1)
-
-
-class TestLagrangeThreePoint:
-    def test_quadratic_second_derivative_any_s(self):
-        # w = eta^2 sampled at eta in {0, 0.1, 0.3}.
-        w = (0.0, 0.01, 0.09)
-        for s in (-1.0, 0.0, 2.0, 0.37):
-            res = lagrange_three_point(*w, h1=0.1, h2=0.2, s=s)
-            assert res.second_derivative == pytest.approx(2.0, abs=1e-12)
-
-    def test_quadratic_first_derivative_tracks_evaluation_point(self):
-        w = (0.0, 0.01, 0.09)
-        for s in (-1.0, 0.0, 2.0):
-            res = lagrange_three_point(*w, h1=0.1, h2=0.2, s=s)
-            xi = (s + 1.0) * 0.1
-            assert res.first_derivative == pytest.approx(2.0 * xi, abs=1e-12)
-
-    def test_uniform_s_minus_one_matches_forward_stencil(self):
-        # Oracle: differentiating the interpolating parabola at its first
-        # node on a uniform grid gives (-3 w0 + 4 w1 - w2) / (2 h).
-        h = 0.1
-        w = (np.sin(0.0), np.sin(h), np.sin(2 * h))
-        res = lagrange_three_point(*w, h1=h, h2=h, s=-1.0)
-        oracle = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * h)
-        assert res.first_derivative == pytest.approx(oracle, abs=1e-14)
-
-    def test_uniform_s_zero_matches_central_stencil(self):
-        h = 0.05
-        w = (np.exp(0.0), np.exp(h), np.exp(2 * h))
-        res = lagrange_three_point(*w, h1=h, h2=h, s=0.0)
-        assert res.first_derivative == pytest.approx((w[2] - w[0]) / (2 * h), abs=1e-12)
-        assert res.second_derivative == pytest.approx(
-            (w[2] - 2 * w[1] + w[0]) / h**2, abs=1e-12
-        )
-
-    def test_constant_gives_zeros(self):
-        res = lagrange_three_point(4.2, 4.2, 4.2, h1=0.3, h2=0.1, s=0.0)
-        assert res.first_derivative == pytest.approx(0.0, abs=1e-12)
-        assert res.second_derivative == pytest.approx(0.0, abs=1e-12)
-
-    def test_truncation_order_flags_spacing(self):
-        uniform = lagrange_three_point(0.0, 1.0, 2.0, h1=0.1, h2=0.1, s=0.0)
-        skewed = lagrange_three_point(0.0, 1.0, 2.0, h1=0.1, h2=0.2, s=0.0)
-        assert uniform.truncation_order == 2
-        assert skewed.truncation_order == 1
-
-    def test_nonuniform_convergence_orders(self):
-        # Fixed spacing ratio h2 = 2 h1, shrinking h1: the first derivative
-        # at the middle node stays second order, the second derivative
-        # drops to first order, matching the declared joint order of 1.
-        x0 = 0.4
-        firsts, seconds, steps = [], [], []
-        for h1 in (0.04, 0.02, 0.01, 0.005):
-            h2 = 2.0 * h1
-            w = (np.sin(x0), np.sin(x0 + h1), np.sin(x0 + h1 + h2))
-            res = lagrange_three_point(*w, h1=h1, h2=h2, s=0.0)
-            firsts.append(abs(res.first_derivative - np.cos(x0 + h1)))
-            seconds.append(abs(res.second_derivative + np.sin(x0 + h1)))
-            steps.append(h1)
-        assert 1.85 <= fitted_order(steps, firsts) <= 2.15
-        assert 0.85 <= fitted_order(steps, seconds) <= 1.15
-
-    def test_bad_steps_raise(self):
-        with pytest.raises(ValueError):
-            lagrange_three_point(0.0, 1.0, 2.0, h1=0.0, h2=0.1, s=0.0)
-        with pytest.raises(ValueError):
-            lagrange_three_point(0.0, 1.0, 2.0, h1=0.1, h2=-0.1, s=0.0)
-
-
-class TestFiniteDifferenceWeights:
-    def test_classic_central_stencils(self):
-        x = np.array([-1.0, 0.0, 1.0])
-        w = finite_difference_weights(x, 0.0, 2)
-        assert np.allclose(w[:, 0], [0.0, 1.0, 0.0], atol=1e-14)
-        assert np.allclose(w[:, 1], [-0.5, 0.0, 0.5], atol=1e-14)
-        assert np.allclose(w[:, 2], [1.0, -2.0, 1.0], atol=1e-14)
-
-    def test_five_point_fourth_derivative(self):
-        x = np.arange(-2.0, 3.0)
-        w = finite_difference_weights(x, 0.0, 4)
-        assert np.allclose(w[:, 4], [1.0, -4.0, 6.0, -4.0, 1.0], atol=1e-12)
-
-    def test_polynomial_exactness(self):
-        x = np.array([0.0, 0.7, 1.1, 2.0, 3.5])
-        w = finite_difference_weights(x, 1.3, 2)
-        coeffs = np.array([2.0, -1.0, 0.5, 0.25, -0.125])
-        vals = np.polyval(coeffs[::-1], x)  # 2 - x + 0.5x^2 + ...
-        poly = np.polynomial.Polynomial(coeffs)
-        assert w[:, 0] @ vals == pytest.approx(poly(1.3), abs=1e-10)
-        assert w[:, 1] @ vals == pytest.approx(poly.deriv(1)(1.3), abs=1e-9)
-        assert w[:, 2] @ vals == pytest.approx(poly.deriv(2)(1.3), abs=1e-9)
-
-    def test_too_few_points_raise(self):
-        with pytest.raises(ValueError):
-            finite_difference_weights(np.array([0.0, 1.0]), 0.0, 2)
-
-
-class TestFieldSpatialDerivatives:
-    def test_quadratic_second_derivative_exact(self):
-        x = np.linspace(0.0, 1.0, 21)
-        field = (x**2)[:, None] * np.ones((1, 3))
-        out = field_spatial_derivatives(field, x[1] - x[0], max_order=2)
-        assert np.allclose(out[2], 2.0, atol=1e-9)
-
-    def test_linear_field_higher_orders_vanish(self):
-        x = np.linspace(0.0, 1.0, 31)
-        field = (2.0 * x + 1.0)[:, None] * np.ones((1, 2))
-        out = field_spatial_derivatives(field, x[1] - x[0], max_order=4)
-        assert np.allclose(out[1], 2.0, atol=1e-8)
-        for m in (2, 3, 4):
-            assert np.allclose(out[m], 0.0, atol=1e-6)
-
-    def test_sin_fourth_derivative_under_one_percent(self):
-        # Analytic oracle: d4/dx4 sin(2 pi x) = (2 pi)^4 sin(2 pi x).
-        n, dx = 101, 0.01
-        x = np.arange(n) * dx
-        field = np.sin(2 * np.pi * x)[:, None]
-        out = field_spatial_derivatives(field, dx, max_order=4)
-        truth = (2 * np.pi) ** 4 * np.sin(2 * np.pi * x)
-        rel = np.abs(out[4][:, 0] - truth).max() / np.abs(truth).max()
-        assert rel < 0.01
-
-    def test_all_orders_converge_second_order(self):
-        for m in (1, 2, 3, 4):
-            steps, errors = [], []
-            for n in (65, 129, 257):
-                x = np.linspace(0.0, 1.0, n)
-                dx = x[1] - x[0]
-                field = np.sin(2 * np.pi * x)[:, None]
-                out = field_spatial_derivatives(field, dx, max_order=m)
-                truth = (2 * np.pi) ** m * np.sin(2 * np.pi * x + m * np.pi / 2.0)
-                errors.append(np.abs(out[m][:, 0] - truth).max())
-                steps.append(dx)
-            order = fitted_order(steps, errors)
-            assert order >= 1.85, f"order {m}: measured {order}"
-
-    def test_interior_rows_match_classic_stencils(self):
-        dx = 0.1
-        lap = spatial_operator(9, dx, 2)
-        assert np.allclose(lap[4, 3:6], np.array([1.0, -2.0, 1.0]) / dx**2)
-        bih = spatial_operator(9, dx, 4)
-        assert np.allclose(
-            bih[4, 2:7], np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / dx**4
-        )
-
-    def test_axis_argument(self):
-        x = np.linspace(0.0, 1.0, 17)
-        field = np.ones((3, 17)) * (x**2)[None, :]
-        out = field_spatial_derivatives(field, x[1] - x[0], max_order=2, axis=1)
-        assert out[2].shape == field.shape
-        assert np.allclose(out[2], 2.0, atol=1e-8)
-
-    def test_grid_too_small_raises(self):
-        with pytest.raises(ValueError):
-            field_spatial_derivatives(np.zeros((3, 5)), 0.1, max_order=4)
-
-    def test_bad_order_raises(self):
-        with pytest.raises(ValueError):
-            field_spatial_derivatives(np.zeros((10, 2)), 0.1, max_order=5)
 
 
 class TestDeclaredOrders:

@@ -16,30 +16,6 @@ from lagdyn.errors import ConfigError, SimulationDivergedError, StabilityError
 # ---------------------------------------------------------------------------
 
 
-def test_wiener_increments_deterministic():
-    a = sim.wiener_increments(64, 0.01, seed=7)
-    b = sim.wiener_increments(64, 0.01, seed=7)
-    c = sim.wiener_increments(64, 0.01, seed=8)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert a.shape == (64,)
-
-
-def test_wiener_increments_moments():
-    n = 200_000
-    dt = 0.25
-    dw = sim.wiener_increments(n, dt, seed=11)
-    assert abs(dw.mean()) < 5e-3
-    assert abs(dw.var() - dt) < 5e-3
-
-
-def test_wiener_increments_rejects_bad_args():
-    with pytest.raises(ValueError):
-        sim.wiener_increments(0, 0.1, seed=1)
-    with pytest.raises(ValueError):
-        sim.wiener_increments(10, 0.0, seed=1)
-
-
 def test_derived_seed_properties():
     seeds = [sim.derived_seed(123, k) for k in range(1000)]
     assert seeds == [sim.derived_seed(123, k) for k in range(1000)]
@@ -545,18 +521,3 @@ def test_container_rejects_foreign_files(tmp_path):
     path.write_bytes(b'{"format": "other"}\n')
     with pytest.raises(ConfigError):
         sim.load_ensemble(path)
-
-
-def test_csv_export_round_trip(tmp_path):
-    spec = sim.benchmark_spec("harmonic")
-    ens = sim.generate_ensemble(spec, 1e-3, 0.01, 2, base_seed=4)
-    path = tmp_path / "out.csv"
-    sim.ensemble_to_csv(ens, path, realization=0)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,u1,v1"
-    assert len(lines) == 1 + ens.n_steps
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == ens.displacement[0, 0, 0]
-    last = lines[-1].split(",")
-    assert float(last[1]) == ens.displacement[0, 0, -1]
