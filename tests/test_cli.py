@@ -133,12 +133,6 @@ def _flags(*argv):
 # One row per bad input that reaches the CLI: (argv builder, exit code,
 # fragment of the one-line message).
 BAD_INPUTS = [
-    pytest.param(_flags("simulate", "--system", "harmonic", "--dt", "-1"),
-                 2, "dt must be", id="negative-dt-flag"),
-    pytest.param(_config_file({"seed": "abc"}), 2, "seed must be an integer",
-                 id="non-integer-seed-in-config"),
-    pytest.param(_truncated_container, 2, "truncated",
-                 id="truncated-ensemble"),
     pytest.param(_flags("discover", "--system", "harmonic", "--t-f", "0.00001",
                         "--n-real", "2"),
                  2, "shorter than one step", id="discover-window-below-one-step"),
@@ -161,14 +155,33 @@ BAD_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("build, code, message", BAD_INPUTS)
-def test_bad_input_exits_with_one_line(tmp_path, capsys, build, code, message):
+def _exits_with_one_line(tmp_path, capsys, build, code, message):
     argv = build(tmp_path) + ["--output-dir", str(tmp_path)]
     capsys.readouterr()
     assert run(argv) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:")
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("build, code, message", BAD_INPUTS)
+def test_bad_input_exits_with_one_line(tmp_path, capsys, build, code, message):
+    _exits_with_one_line(tmp_path, capsys, build, code, message)
+
+
+def test_negative_dt_flag_exits_2_with_one_line(tmp_path, capsys):
+    _exits_with_one_line(
+        tmp_path, capsys, _flags("simulate", "--system", "harmonic", "--dt", "-1"),
+        2, "dt must be")
+
+
+def test_non_integer_seed_in_config_exits_2(tmp_path, capsys):
+    _exits_with_one_line(tmp_path, capsys, _config_file({"seed": "abc"}),
+                         2, "seed must be an integer")
+
+
+def test_truncated_ensemble_exits_2(tmp_path, capsys):
+    _exits_with_one_line(tmp_path, capsys, _truncated_container, 2, "truncated")
 
 
 def test_discovery_failure_exits_5(tmp_path):

@@ -16,6 +16,26 @@ from lagdyn.errors import ConfigError, SimulationDivergedError, StabilityError
 # ---------------------------------------------------------------------------
 
 
+def test_wiener_increments_deterministic():
+    def dw(seed):
+        normals = sim.NoiseStream(seed).standard_normals((64, 2))
+        return sim.increments_from_normals(0.01, normals)[0]
+
+    a, b, c = dw(7), dw(7), dw(8)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.shape == (64,)
+
+
+def test_wiener_increments_moments():
+    n = 200_000
+    dt = 0.25
+    normals = sim.NoiseStream(11).standard_normals((n, 2))
+    dw = sim.increments_from_normals(dt, normals)[0]
+    assert abs(dw.mean()) < 5e-3
+    assert abs(dw.var() - dt) < 5e-3
+
+
 def test_derived_seed_properties():
     seeds = [sim.derived_seed(123, k) for k in range(1000)]
     assert seeds == [sim.derived_seed(123, k) for k in range(1000)]
