@@ -158,7 +158,21 @@ def discover_models(
     config: BenchmarkConfig,
 ) -> tuple[discovery.LagrangianModel, discovery.DiffusionModel,
            discovery.EquationsOfMotion]:
-    """Run the discovery pipeline on a training ensemble."""
+    """Run the discovery pipeline on a training ensemble.
+
+    Raises:
+        ConfigError: if the ensemble's coordinates or grid are not those
+            of the system.
+    """
+    if ensemble.coords != spec.dim:
+        raise ConfigError(
+            f"ensemble has {ensemble.coords} coordinates, but system "
+            f"'{name}' has {spec.dim}"
+        )
+    same_grid = (ensemble.spatial_grid is None if spec.spatial is None
+                 else np.array_equal(ensemble.spatial_grid, spec.spatial.grid))
+    if not same_grid:
+        raise ConfigError(f"ensemble grid does not match system '{name}'")
     libs = library.build_lagrangian_library(name, spec.dim)
     glibs = library.build_diffusion_library(name, spec.dim)
     if config.probe_nodes is not None:
@@ -368,7 +382,6 @@ def prediction_comparison(
     base_seed: int = DEFAULT_SEED,
     dt: float | None = None,
     training_window: float | None = None,
-    report_node: int = FIELD_REPORT_NODE,
 ) -> PredictionBundle:
     """Simulate truth and discovered dynamics on shared noise paths.
 
@@ -385,7 +398,6 @@ def prediction_comparison(
         base_seed: Ensemble seed shared by both sides.
         dt: Time step (None: the spec's protocol step).
         training_window: Training duration (None: the spec's protocol).
-        report_node: Grid node whose displacement is reported for fields.
 
     Returns:
         PredictionBundle; on divergence of either side the series are
@@ -400,8 +412,8 @@ def prediction_comparison(
         raise ConfigError("prediction horizon is shorter than the training window")
     pred_spec = discovered_spec(true_spec, eom)
     if true_spec.kind == "spde":
-        labels = (f"u{report_node}",)
-        simulate, rows = sim.simulate_field_rows, [report_node]
+        labels = (f"u{FIELD_REPORT_NODE}",)
+        simulate, rows = sim.simulate_field_rows, [FIELD_REPORT_NODE]
     else:
         labels = tuple(eom.coordinates)
         simulate, rows = sim.simulate_rows, range(true_spec.dim)
@@ -457,17 +469,16 @@ def prediction_comparison(
 def hamiltonian_trajectory(
     model: discovery.HamiltonianModel,
     trajectory: np.ndarray,
-    dx: float | None = None,
-    normalize: bool = True,
 ) -> np.ndarray:
-    """Hamiltonian series along a state trajectory.
+    """Hamiltonian series along a state trajectory, with V(0) = 0.
+
+    The value at the zero state is subtracted, so the series does not
+    depend on the constant a potential such as -cos(X) carries.
 
     Args:
         model: Hamiltonian to evaluate.
         trajectory: States, shape (2n, N_t): displacement block stacked
             over velocity block.
-        dx: Grid spacing for spatial terms.
-        normalize: Subtract the zero-state value so that V(0) = 0.
 
     Returns:
         Array (N_t,).
@@ -476,11 +487,9 @@ def hamiltonian_trajectory(
     if states.ndim != 2 or states.shape[0] % 2 != 0:
         raise ConfigError("trajectory must stack displacement and velocity")
     n = states.shape[0] // 2
-    series = model.evaluate(states[:n], states[n:], dx=dx)
-    if normalize:
-        rest = np.zeros((n, 1))
-        series = series - model.evaluate(rest, rest, dx=dx)[0]
-    return series
+    rest = np.zeros((n, 1))
+    return (model.evaluate(states[:n], states[n:])
+            - model.evaluate(rest, rest)[0])
 
 
 def _beam_quadratic_operator(n: int, dx: float) -> tuple[np.ndarray, np.ndarray]:

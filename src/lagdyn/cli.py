@@ -50,14 +50,19 @@ _NUMERIC_RANGES = (
 )
 
 
+def _split_names(text: str) -> tuple[str, ...]:
+    """Names of a comma-separated list, blanks dropped."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Settings shared by the subcommands.
 
     Every field is optional; unset fields fall back to per-benchmark
     defaults. A JSON config file provides the same keys; flags override
-    file values. Unknown keys are rejected, and so are numeric settings
-    of the wrong type or out of range.
+    file values. Unknown keys are rejected, and so are settings of the
+    wrong type and numeric settings out of range.
     """
 
     system: str | None = None
@@ -76,6 +81,16 @@ class RunConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for name in ("system", "ensemble", "output_dir"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        if self.only is not None and not (
+                isinstance(self.only, tuple)
+                and all(isinstance(s, str) for s in self.only)):
+            raise ConfigError(
+                f"only must be a string or a list of strings, got {self.only!r}"
+            )
         for name, kind, low, strict in _NUMERIC_RANGES:
             value = getattr(self, name)
             if value is None:
@@ -109,10 +124,10 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         values = dict(data)
-        if "only" in values and values["only"] is not None:
-            only = values["only"]
-            if isinstance(only, str):
-                only = [s.strip() for s in only.split(",") if s.strip()]
+        only = values.get("only")
+        if isinstance(only, str):
+            values["only"] = _split_names(only)
+        elif isinstance(only, list):
             values["only"] = tuple(only)
         return cls(**values)
 
@@ -134,9 +149,7 @@ def _merge_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         if value is not None:
             overrides[f.name] = value
     if "only" in overrides:
-        overrides["only"] = tuple(
-            s.strip() for s in overrides["only"].split(",") if s.strip()
-        )
+        overrides["only"] = _split_names(overrides["only"])
     return replace(config, **overrides)
 
 

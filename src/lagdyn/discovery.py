@@ -201,7 +201,6 @@ def discover_lagrangian(
     ensemble: Ensemble,
     libraries: list[CandidateLibrary],
     lam: float,
-    stencil: str = "forward",
     rcond: float | None = None,
 ) -> LagrangianModel:
     """Discover the sparse Lagrangian density of every coordinate.
@@ -209,7 +208,9 @@ def discover_lagrangian(
     Per coordinate: Euler-Lagrange features -> kinetic label split ->
     sequential threshold regression of label = -features @ C. The kinetic
     coefficient is 1 by construction; discovered C carry the signs the
-    densities enter the total Lagrangian with.
+    densities enter the total Lagrangian with. The momentum is
+    differentiated with the forward time stencil, which keeps the one-step
+    drift identity of explicit schemes exact in expectation.
 
     Args:
         ensemble: Training data.
@@ -220,9 +221,6 @@ def discover_lagrangian(
             ensemble-mean noise of the kick increments amplified by the time
             stencil, so a standardized threshold cannot separate them from
             true terms, while their raw coefficients stay near zero.
-        stencil: Momentum time stencil; the forward stencil keeps the
-            one-step drift identity of explicit schemes exact in
-            expectation, so it is the default for noisy data.
         rcond: Singular-value cutoff for the regression kernel. Candidate
             families (monomial ladders, trigonometric harmonics) are nearly
             dependent on narrow-amplitude data; the cutoff stops the solver
@@ -238,7 +236,7 @@ def discover_lagrangian(
     for lib in libraries:
         for basis in lib.bases:
             registry[basis.label] = basis
-        fm = el_transform(lib, ensemble, stencil=stencil)
+        fm = el_transform(lib, ensemble, stencil="forward")
         label, features, names = split_kinetic(fm, lib)
         model = stls(features, -label, lam, standardize=False, rcond=rcond)
         if not model.active_set:
@@ -262,7 +260,7 @@ def discover_lagrangian(
         particles=tuple(particles),
         registry=registry,
         lambda_used=lam,
-        stencil=stencil,
+        stencil="forward",
     )
 
 
@@ -392,7 +390,6 @@ def discover_diffusion(
     lagrangian: LagrangianModel,
     diff_library: list[CandidateLibrary],
     lam: float,
-    dt: float | None = None,
     rcond: float | None = None,
 ) -> DiffusionModel:
     """Discover additive noise gains from squared Euler-Lagrange residuals.
@@ -413,15 +410,13 @@ def discover_diffusion(
             the Lagrangian's particles.
         lam: Sparsity threshold on raw squared-space coefficients, so it is
             commensurate with the squared gain it has to keep.
-        dt: Sampling step; defaults to the ensemble's.
         rcond: Singular-value cutoff for the regression kernel.
 
     Returns:
         DiffusionModel with per-coordinate gains (all-zero models are
         flagged, not errors: noiseless data legitimately retains nothing).
     """
-    if dt is None:
-        dt = ensemble.dt
+    dt = ensemble.dt
     if len(diff_library) != len(lagrangian.particles):
         raise ConfigError(
             "one diffusion library per discovered coordinate is required"

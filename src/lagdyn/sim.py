@@ -243,16 +243,6 @@ class _GivenIncrements:
         return self.dw[:, steps].swapaxes(0, 1), self.dz[:, steps].swapaxes(0, 1)
 
 
-def _seeded(base_seed: int, n_real: int, scheme: str, dt: float):
-    """Noise source: realization k draws from derived_seed(base_seed, k)."""
-
-    def noise(noise_idx: np.ndarray) -> _StreamDraws:
-        streams = [NoiseStream(derived_seed(base_seed, k)) for k in range(n_real)]
-        return _StreamDraws(streams, noise_idx.size, scheme, dt)
-
-    return noise
-
-
 @dataclass
 class _Side:
     """One system of a batch and the batch rows its realizations occupy."""
@@ -361,20 +351,19 @@ class _ChunkNoise:
         return [buf[:m] for buf in self.buffers]
 
 
-def _diverged(state: np.ndarray, step: int, blow_up: float,
-              rec: _Recorder) -> SimulationDivergedError:
+def _diverged(state: np.ndarray, step: int, rec: _Recorder) -> SimulationDivergedError:
     worst = np.abs(state).max(axis=1)
-    bad = np.flatnonzero(~np.isfinite(worst) | (worst > blow_up))
+    bad = np.flatnonzero(~np.isfinite(worst) | (worst > BLOW_UP_BOUND))
     return SimulationDivergedError(
         f"trajectory diverged at step {step} (realization {int(bad[0])}): "
-        f"|state| exceeded {blow_up:g} or became non-finite",
+        f"|state| exceeded {BLOW_UP_BOUND:g} or became non-finite",
         step=step,
         realizations=tuple(int(k) for k in bad),
         partial=[out[:, :, :rec.filled] for out in rec.outputs],
     )
 
 
-def _kick_drift(sides, dt, n_steps, noise, rec, blow_up, chunk_steps) -> None:
+def _kick_drift(sides, dt, n_steps, noise, rec, chunk_steps) -> None:
     """Kick-drift symplectic Euler-Maruyama for field systems.
 
     Per step: v+ = v + dt*a(u) + g.dW; u+ = u + dt*v+. Constrained nodes
@@ -403,14 +392,14 @@ def _kick_drift(sides, dt, n_steps, noise, rec, blow_up, chunk_steps) -> None:
             np.multiply(v, dt, out=work)
             u += work
             u[:, constrained] = 0.0
-            if not np.abs(u, out=work).max() <= blow_up:
+            if not np.abs(u, out=work).max() <= BLOW_UP_BOUND:
                 rec.flush(j)
-                raise _diverged(u, done + j + 1, blow_up, rec)
+                raise _diverged(u, done + j + 1, rec)
             rec.take(j, u, v)
         rec.flush(m)
 
 
-def _taylor15(sides, dt, n_steps, noise, rec, blow_up, chunk_steps) -> None:
+def _taylor15(sides, dt, n_steps, noise, rec, chunk_steps) -> None:
     """Strong Taylor 1.5 for additive noise.
 
     One step of the scheme for dY = A(Y) dt + B dW with constant B:
@@ -436,14 +425,14 @@ def _taylor15(sides, dt, n_steps, noise, rec, blow_up, chunk_steps) -> None:
                 curv = (spec.noise_curvature(ys)
                         if spec.noise_curvature is not None else 0.0)
                 y[r] = ys + a * dt + gdw[j, r] + jbz + 0.5 * dt2 * (ja + 0.5 * curv)
-            if not np.abs(y).max() <= blow_up:
+            if not np.abs(y).max() <= BLOW_UP_BOUND:
                 rec.flush(j)
-                raise _diverged(y, done + j + 1, blow_up, rec)
+                raise _diverged(y, done + j + 1, rec)
             rec.take(j, y)
         rec.flush(m)
 
 
-def _euler_maruyama(sides, dt, n_steps, noise, rec, blow_up, chunk_steps) -> None:
+def _euler_maruyama(sides, dt, n_steps, noise, rec, chunk_steps) -> None:
     """Classic Euler-Maruyama; supports state-dependent volatility."""
     y = _initial_states(sides)
     rec.start(y)
@@ -456,9 +445,9 @@ def _euler_maruyama(sides, dt, n_steps, noise, rec, blow_up, chunk_steps) -> Non
                 ys = y[r]
                 gains = np.asarray(spec.volatility(ys))
                 y[r] = ys + spec.drift(ys) * dt + gains * dws[j, r]
-            if not np.abs(y).max() <= blow_up:
+            if not np.abs(y).max() <= BLOW_UP_BOUND:
                 rec.flush(j)
-                raise _diverged(y, done + j + 1, blow_up, rec)
+                raise _diverged(y, done + j + 1, rec)
             rec.take(j, y)
         rec.flush(m)
 
@@ -467,10 +456,14 @@ _LOOPS = {"kick-drift": _kick_drift, "taylor15": _taylor15,
           "euler": _euler_maruyama}
 
 
-def _simulate(specs, scheme: str, dt: float, n_steps: int, n_real: int,
-              noise, row_sets, blow_up: float,
-              chunk_steps: int | None = None) -> list[np.ndarray]:
-    """Step a batch of one or more sides and record selected state rows.
+def _simulate(specs, dt: float, n_steps: int, n_real: int, noise, row_sets,
+              method: str = "auto") -> list[np.ndarray]:
+    """Check the stepping arguments, then step a batch of one or more sides.
+
+    Every stochastic stepper of this module goes through here, so each
+    argument is checked once. The scheme follows from the kind of the
+    systems and ``method``: kick-drift for fields ("spde"), otherwise
+    Taylor 1.5 ("auto", "taylor15") or Euler-Maruyama ("euler").
 
     Side s occupies batch rows [s*n_real, (s+1)*n_real) and calls only its
     own spec's callables on them. Realization k of every side takes the
@@ -480,67 +473,89 @@ def _simulate(specs, scheme: str, dt: float, n_steps: int, n_real: int,
     Args:
         specs: Systems stepped together; they must share kind, dimension,
             state size and grid.
-        scheme: "kick-drift", "taylor15" or "euler".
-        dt: Time step.
-        n_steps: Number of steps.
-        n_real: Realizations per side.
-        noise: Map noise layout (indices of noise-carrying coordinates) ->
-            chunk source of increments (see _StreamDraws).
+        dt: Time step, > 0.
+        n_steps: Number of steps, >= 1.
+        n_real: Realizations per side, >= 1.
+        noise: A base seed (realization k draws from
+            derived_seed(base_seed, k)), one NoiseStream (n_real = 1), or
+            a given (dW, dZ) pair of shape (n_real, n_steps, n_noise).
         row_sets: State rows to record, one output array per set.
-        blow_up: Divergence bound on |state|.
-        chunk_steps: Steps per noise chunk (None: CHUNK_STEPS, fewer when
-            a chunk of the batch's noise would exceed CHUNK_VALUES values).
+        method: "auto", "taylor15" or "euler".
 
     Returns:
         One array (len(specs) * n_real, len(rows), n_steps + 1) per row set.
 
     Raises:
+        ValueError: for dt <= 0, fewer than 1 step or n_real < 1.
+        ConfigError: for an unknown method, systems of different layouts,
+            Taylor on a system that is not of kind "sde", a missing drift
+            Jacobian, or a field without acceleration or grid.
+        StabilityError: when dt exceeds a field's stability limit.
         SimulationDivergedError: at the first step where any realization
-            leaves the bound; it names the failing batch rows and carries
-            the samples recorded before that step.
+            leaves BLOW_UP_BOUND; it names the failing batch rows and
+            carries the samples recorded before that step.
     """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if n_steps < 1:
+        raise ValueError(f"at least 1 step is needed, got {n_steps}")
+    if n_real < 1:
+        raise ValueError("n_real must be at least 1")
+    if method not in ("auto", "taylor15", "euler"):
+        raise ConfigError(f"unknown integration method '{method}'")
     first = specs[0]
     layout = (first.kind, first.dim, first.spatial, np.size(first.initial_state))
     for spec in specs[1:]:
         if (spec.kind, spec.dim, spec.spatial, np.size(spec.initial_state)) != layout:
             raise ConfigError("systems stepped together must share their state layout")
-    if scheme == "kick-drift":
+    if method == "taylor15" and first.kind != "sde":
+        raise ConfigError("Taylor scheme applies to finite-dimensional systems")
+    if first.kind == "spde":
+        scheme = "kick-drift"
         for spec in specs:
             if spec.acceleration is None or spec.spatial is None:
                 raise ConfigError(
                     f"field system '{spec.name}' needs acceleration and grid"
                 )
-            _validate_field_stability(spec, dt)
+            limit = spec.params.get("max_stable_dt")
+            if limit is not None and dt > limit * (1.0 + 1e-12):
+                raise StabilityError(
+                    f"time step {dt:g} exceeds the stability limit {limit:g} "
+                    f"for system '{spec.name}'"
+                )
         # Noise kicks the velocity block only.
         widths, offset = (first.dim, first.dim), first.dim
     else:
+        scheme = "euler" if method == "euler" else "taylor15"
         missing = [s.name for s in specs if s.drift_jacobian is None]
         if scheme == "taylor15" and missing:
             raise ConfigError(f"system '{missing[0]}' lacks a drift Jacobian")
         widths, offset = (int(np.size(first.initial_state)),), 0
+
+    def source(noise_idx: np.ndarray):
+        if isinstance(noise, tuple):
+            return _GivenIncrements(*noise)
+        streams = ([noise] if isinstance(noise, NoiseStream) else
+                   [NoiseStream(derived_seed(noise, k)) for k in range(n_real)])
+        return _StreamDraws(streams, noise_idx.size, scheme, dt)
+
     sides = []
     for s, spec in enumerate(specs):
         g0, noise_idx = _noise_layout(spec)
         sides.append(_Side(spec, slice(s * n_real, (s + 1) * n_real), g0, noise_idx))
     batch = len(specs) * n_real
-    if chunk_steps is None:
-        chunk_steps = min(CHUNK_STEPS,
-                          max(1, CHUNK_VALUES // (batch * widths[-1])))
-    depth = max(1, min(chunk_steps, n_steps))
-    chunks = _ChunkNoise(sides, noise, depth, offset, widths[-1],
+    chunk_steps = min(CHUNK_STEPS, max(1, CHUNK_VALUES // (batch * widths[-1])))
+    depth = min(chunk_steps, n_steps)
+    chunks = _ChunkNoise(sides, source, depth, offset, widths[-1],
                          scaled=scheme != "euler")
     rec = _Recorder(row_sets, widths, batch, n_steps, depth)
-    _LOOPS[scheme](sides, dt, n_steps, chunks, rec, blow_up, chunk_steps)
+    _LOOPS[scheme](sides, dt, n_steps, chunks, rec, chunk_steps)
     return rec.outputs
 
 
-def _check_steps(dt: float, n_steps: int, n_real: int = 1) -> None:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if n_real < 1:
-        raise ValueError("n_real must be at least 1")
+def _window_steps(t_f: float, dt: float) -> int:
+    """Steps of length dt in a window of length t_f (_simulate checks dt)."""
+    return int(round(t_f / dt)) if dt else 0
 
 
 def _full_state(spec: SystemSpec) -> list[range]:
@@ -552,7 +567,6 @@ def integrate_taylor15_increments(
     dt: float,
     dw: np.ndarray,
     dz: np.ndarray,
-    blow_up: float = BLOW_UP_BOUND,
 ) -> np.ndarray:
     """Taylor 1.5 trajectory driven by externally supplied increments.
 
@@ -570,8 +584,6 @@ def integrate_taylor15_increments(
         State trajectory, shape (n_state, n_steps + 1), with a leading
         batch axis when dw carries one.
     """
-    if spec.kind != "sde":
-        raise ConfigError("Taylor scheme applies to finite-dimensional systems")
     dw = np.asarray(dw, dtype=float)
     dz = np.asarray(dz, dtype=float)
     if dw.ndim not in (2, 3) or dw.shape != dz.shape:
@@ -587,9 +599,8 @@ def integrate_taylor15_increments(
     batched = dw.ndim == 3
     if not batched:
         dw, dz = dw[None], dz[None]
-    (out,) = _simulate((spec,), "taylor15", dt, dw.shape[1], dw.shape[0],
-                       lambda _: _GivenIncrements(dw, dz), _full_state(spec),
-                       blow_up)
+    (out,) = _simulate((spec,), dt, dw.shape[1], dw.shape[0], (dw, dz),
+                       _full_state(spec), "taylor15")
     return out if batched else out[0]
 
 
@@ -600,14 +611,14 @@ def integrate_batch(
     n_real: int,
     base_seed: int,
     method: str = "auto",
-    blow_up: float = BLOW_UP_BOUND,
 ) -> np.ndarray:
     """Integrate a batch of independent realizations of any system.
 
-    Realization k draws its noise from derived_seed(base_seed, k) with the
-    same draw layout as the single-trajectory entry points, so row k equals
-    the corresponding single call exactly. Unlike generate_ensemble this
-    places no displacement/velocity structure requirement on the state.
+    Realization k draws its noise from derived_seed(base_seed, k), so row
+    k does not depend on the batch size; with Taylor 1.5 it equals
+    integrate_taylor15 on NoiseStream(derived_seed(base_seed, k)). Unlike
+    generate_ensemble this places no displacement/velocity structure
+    requirement on the state.
 
     Args:
         spec: System description.
@@ -615,34 +626,15 @@ def integrate_batch(
         n_steps: Number of steps.
         n_real: Number of realizations.
         base_seed: Ensemble seed.
-        method: "taylor15", "euler", or "auto" (Taylor for kind "sde",
-            the field stepper for kind "spde").
-        blow_up: Divergence bound on |state|.
+        method: "taylor15", "euler", or "auto" (Taylor for kind "sde");
+            field systems ("spde") always take the kick-drift stepper.
 
     Returns:
         States, shape (n_real, n_state, n_steps + 1).
     """
-    _check_steps(dt, n_steps, n_real)
-    if method == "auto":
-        method = "euler" if spec.kind == "spde" else "taylor15"
-    if method not in ("taylor15", "euler"):
-        raise ConfigError(f"unknown integration method '{method}'")
-    if method == "taylor15" and spec.kind != "sde":
-        raise ConfigError("Taylor scheme applies to finite-dimensional systems")
-    scheme = "kick-drift" if spec.kind == "spde" else method
-    (out,) = _simulate((spec,), scheme, dt, n_steps, n_real,
-                       _seeded(base_seed, n_real, scheme, dt),
-                       _full_state(spec), blow_up)
+    (out,) = _simulate((spec,), dt, n_steps, n_real, base_seed,
+                       _full_state(spec), method)
     return out
-
-
-def _validate_field_stability(spec: SystemSpec, dt: float) -> None:
-    limit = spec.params.get("max_stable_dt")
-    if limit is not None and dt > limit * (1.0 + 1e-12):
-        raise StabilityError(
-            f"time step {dt:g} exceeds the stability limit {limit:g} "
-            f"for system '{spec.name}'"
-        )
 
 
 def simulate_rows(
@@ -653,8 +645,6 @@ def simulate_rows(
     base_seed: int,
     rows,
     partners=(),
-    chunk_steps: int | None = None,
-    blow_up: float = BLOW_UP_BOUND,
 ) -> np.ndarray:
     """Simulate an ensemble while recording only selected state rows.
 
@@ -670,15 +660,12 @@ def simulate_rows(
     Args:
         spec: System to simulate.
         dt: Time step, > 0.
-        t_f: Final time, > 0.
+        t_f: Final time; the window must hold at least one step.
         n_real: Realizations per system, >= 1.
         base_seed: Ensemble seed; realization k draws from
             derived_seed(base_seed, k).
         rows: Iterable of state-row indices to record.
         partners: Further systems with the same kind and state layout.
-        chunk_steps: Steps advanced per noise draw, >= 1 (None: up to
-            CHUNK_STEPS, fewer for large batches).
-        blow_up: Divergence bound on |state|.
 
     Returns:
         Array of shape ((1 + len(partners)) * n_real, len(rows),
@@ -688,22 +675,14 @@ def simulate_rows(
         SimulationDivergedError: at the first step where any system leaves
             the bound; ``partial[0]`` holds the samples recorded before it.
     """
-    if t_f <= 0 or dt <= 0:
-        raise ValueError("t_f and dt must be positive")
-    if n_real < 1:
-        raise ValueError("n_real must be at least 1")
-    if chunk_steps is not None and chunk_steps < 1:
-        raise ValueError("chunk_steps must be at least 1")
     size = int(np.size(spec.initial_state))
     rows = np.asarray(list(rows), dtype=int)
     if rows.size == 0 or rows.min() < 0 or rows.max() >= size:
         raise ConfigError(
             f"rows must be non-empty state indices in [0, {size})"
         )
-    scheme = "kick-drift" if spec.kind == "spde" else "taylor15"
-    (out,) = _simulate((spec, *partners), scheme, dt, int(round(t_f / dt)),
-                       n_real, _seeded(base_seed, n_real, scheme, dt), [rows],
-                       blow_up, chunk_steps)
+    (out,) = _simulate((spec, *partners), dt, _window_steps(t_f, dt), n_real,
+                       base_seed, [rows])
     return out
 
 
@@ -714,8 +693,6 @@ def simulate_field_rows(
     n_real: int,
     base_seed: int,
     rows,
-    chunk_steps: int | None = None,
-    blow_up: float = BLOW_UP_BOUND,
     partners=(),
 ) -> np.ndarray:
     """simulate_rows for field systems: the kick-drift stepper only.
@@ -723,10 +700,9 @@ def simulate_field_rows(
     Row r < dim selects the displacement of node r; row dim + r selects
     its velocity.
     """
-    if spec.kind != "spde" or spec.acceleration is None or spec.spatial is None:
+    if spec.kind != "spde":
         raise ConfigError(f"'{spec.name}' is not a simulatable field system")
-    return simulate_rows(spec, dt, t_f, n_real, base_seed, rows, partners,
-                         chunk_steps, blow_up)
+    return simulate_rows(spec, dt, t_f, n_real, base_seed, rows, partners)
 
 
 def integrate_taylor15(
@@ -734,7 +710,6 @@ def integrate_taylor15(
     dt: float,
     n_steps: int,
     noise: NoiseStream,
-    blow_up: float = BLOW_UP_BOUND,
 ) -> np.ndarray:
     """Integrate one trajectory with the additive-noise Taylor 1.5 scheme.
 
@@ -743,42 +718,12 @@ def integrate_taylor15(
         dt: Time step, > 0.
         n_steps: Number of steps, >= 1.
         noise: Seeded noise source.
-        blow_up: Divergence bound on |state|.
 
     Returns:
         State trajectory, shape (n_state, n_steps + 1).
     """
-    if spec.kind != "sde":
-        raise ConfigError("Taylor scheme applies to finite-dimensional systems")
-    _check_steps(dt, n_steps)
-    (out,) = _simulate((spec,), "taylor15", dt, n_steps, 1,
-                       lambda idx: _StreamDraws([noise], idx.size, "taylor15", dt),
-                       _full_state(spec), blow_up)
-    return out[0]
-
-
-def integrate_euler_maruyama(
-    spec: SystemSpec,
-    dt: float,
-    n_steps: int,
-    noise: NoiseStream,
-    blow_up: float = BLOW_UP_BOUND,
-) -> np.ndarray:
-    """Integrate one trajectory with an Euler-Maruyama scheme.
-
-    Field systems ("spde") use the kick-drift symplectic variant with the
-    stability limit checked before stepping; finite-dimensional systems use
-    the classic scheme.
-
-    Returns:
-        State trajectory, shape (n_state, n_steps + 1) with the state
-        concatenating displacement and velocity blocks for field systems.
-    """
-    _check_steps(dt, n_steps)
-    scheme = "kick-drift" if spec.kind == "spde" else "euler"
-    (out,) = _simulate((spec,), scheme, dt, n_steps, 1,
-                       lambda idx: _StreamDraws([noise], idx.size, scheme, dt),
-                       _full_state(spec), blow_up)
+    (out,) = _simulate((spec,), dt, n_steps, 1, noise, _full_state(spec),
+                       "taylor15")
     return out[0]
 
 
@@ -810,7 +755,6 @@ def generate_ensemble(
     t_f: float,
     n_real: int,
     base_seed: int,
-    blow_up: float = BLOW_UP_BOUND,
 ) -> Ensemble:
     """Generate an ensemble of independent realizations.
 
@@ -821,30 +765,22 @@ def generate_ensemble(
     Args:
         spec: Mechanical or field system (state = displacement ++ velocity).
         dt: Time step, > 0.
-        t_f: Final time, > 0; the trajectory stores round(t_f/dt)+1 samples.
+        t_f: Final time; the trajectory stores round(t_f/dt)+1 samples, at
+            least 2.
         n_real: Number of realizations, >= 1.
         base_seed: Ensemble seed.
-        blow_up: Divergence bound on |state|.
 
     Returns:
         Ensemble with arrays of shape (n_real, dim, N_t).
     """
-    if t_f <= 0:
-        raise ValueError("t_f must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n_real < 1:
-        raise ValueError("n_real must be at least 1")
     n = spec.dim
     if np.size(spec.initial_state) != 2 * n:
         raise ConfigError(
             "ensemble generation expects displacement and velocity blocks"
         )
-    n_steps = int(round(t_f / dt))
-    scheme = "kick-drift" if spec.kind == "spde" else "taylor15"
-    disp, vel = _simulate((spec,), scheme, dt, n_steps, n_real,
-                          _seeded(base_seed, n_real, scheme, dt),
-                          [range(n), range(n, 2 * n)], blow_up)
+    n_steps = _window_steps(t_f, dt)
+    disp, vel = _simulate((spec,), dt, n_steps, n_real, base_seed,
+                          [range(n), range(n, 2 * n)])
     grid = spec.spatial.grid if spec.spatial is not None else None
     return Ensemble(
         dt=dt,

@@ -47,6 +47,24 @@ def test_training_protocol_overrides():
     assert bench.training_protocol(spec, custom) == (2e-4, 0.5, 7)
 
 
+def test_discover_models_rejects_foreign_ensemble():
+    harmonic = sim.benchmark_spec("harmonic")
+    ens = sim.generate_ensemble(harmonic, 1e-3, 0.01, 2, base_seed=1)
+    config = bench.DEFAULT_CONFIGS["harmonic"]
+    gridded = dataclasses.replace(ens, spatial_grid=np.zeros(1))
+    with pytest.raises(ConfigError, match="grid does not match"):
+        bench.discover_models(gridded, "harmonic", harmonic, config)
+    with pytest.raises(ConfigError, match="has 1 coordinates, but system '3dof' has 3"):
+        bench.discover_models(ens, "3dof", sim.benchmark_spec("3dof"), config)
+    wave = sim.benchmark_spec("wave")
+    field = sim.generate_ensemble(wave, 1e-4, 1e-3, 2, base_seed=1)
+    shifted = dataclasses.replace(field, spatial_grid=field.spatial_grid + 0.5)
+    for foreign in (shifted, dataclasses.replace(field, spatial_grid=None)):
+        with pytest.raises(ConfigError, match="grid does not match"):
+            bench.discover_models(foreign, "wave", wave,
+                                  bench.DEFAULT_CONFIGS["wave"])
+
+
 def test_pooled_parameters_average_with_absent_zero():
     eom = discovery.EquationsOfMotion(
         coordinates=("a", "b"),
@@ -243,7 +261,7 @@ def test_field_energy_conserved_without_noise():
 # ---------------------------------------------------------------------------
 
 
-def test_field_row_simulation_matches_full_ensemble():
+def test_field_row_simulation_matches_full_ensemble(monkeypatch):
     spec = sim.benchmark_spec("wave")
     dt = 1e-4
     ens = sim.generate_ensemble(spec, dt=dt, t_f=0.02, n_real=3, base_seed=7)
@@ -254,8 +272,9 @@ def test_field_row_simulation_matches_full_ensemble():
     assert np.array_equal(rows[:, 0], ens.displacement[:, node])
     assert np.array_equal(rows[:, 1], ens.velocity[:, node])
     # Chunked noise draws reproduce the one-shot stream across boundaries.
+    monkeypatch.setattr(sim, "CHUNK_STEPS", 64)
     chunked = sim.simulate_field_rows(
-        spec, dt, 0.02, 3, 7, rows=[node, spec.dim + node], chunk_steps=64,
+        spec, dt, 0.02, 3, 7, rows=[node, spec.dim + node],
     )
     assert np.array_equal(chunked, rows)
 

@@ -101,11 +101,13 @@ def test_missing_ensemble_exits_4(tmp_path):
                 "--ensemble", str(tmp_path / "missing.bin")]) == 4
 
 
-def _config_file(data):
+def _config_file(data, *argv):
+    argv = argv or ("simulate", "--system", "harmonic")
+
     def build(tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
-        return ["simulate", "--system", "harmonic", "--config", str(path)]
+        return [*argv, "--config", str(path)]
     return build
 
 
@@ -124,6 +126,16 @@ def _one_sample_container(tmp_path):
               "n_steps": 1, "spatial_grid": None}
     path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(32))
     return ["discover", "--system", "harmonic", "--ensemble", str(path)]
+
+
+def _foreign_container(system, written_for):
+    """discover --system `system` on a container written for another system."""
+    def build(tmp_path):
+        assert run(["simulate", "--system", written_for, *FAST,
+                    "--output-dir", str(tmp_path)]) == 0
+        path = tmp_path / f"{written_for}_ensemble.bin"
+        return ["discover", "--system", system, "--ensemble", str(path)]
+    return build
 
 
 def _flags(*argv):
@@ -152,6 +164,26 @@ BAD_INPUTS = [
     pytest.param(_flags("discover", "--system", "harmonic", *FAST,
                         "--rcond-diffusion", "inf"),
                  2, "rcond_diffusion must be", id="infinite-rcond-flag"),
+    pytest.param(_config_file({"only": 5}, "bench"), 2,
+                 "only must be a string or a list of strings",
+                 id="number-only-in-config"),
+    pytest.param(_config_file({"only": ["harmonic", 3]}, "bench"), 2,
+                 "only must be a string or a list of strings",
+                 id="number-in-only-list-in-config"),
+    pytest.param(_config_file({"output_dir": 5}), 2,
+                 "output_dir must be a string", id="number-output-dir-in-config"),
+    pytest.param(_config_file({"ensemble": 3}, "discover", "--system", "harmonic"),
+                 2, "ensemble must be a string", id="number-ensemble-in-config"),
+    pytest.param(_config_file({"system": ["harmonic"]}, "simulate"), 2,
+                 "system must be a string", id="list-system-in-config-simulate"),
+    pytest.param(_config_file({"system": ["harmonic"]}, "discover"), 2,
+                 "system must be a string", id="list-system-in-config-discover"),
+    pytest.param(_foreign_container("harmonic", "3dof"), 2,
+                 "ensemble has 3 coordinates, but system 'harmonic' has 1",
+                 id="discover-harmonic-on-3dof-ensemble"),
+    pytest.param(_foreign_container("3dof", "harmonic"), 2,
+                 "ensemble has 1 coordinates, but system '3dof' has 3",
+                 id="discover-3dof-on-harmonic-ensemble"),
 ]
 
 

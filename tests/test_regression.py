@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lagdyn.errors import RegressionError
 from lagdyn.regression import SparseModel, least_squares, stls
@@ -213,3 +214,37 @@ class TestStls:
         assert model.residual_norm >= 0.0
         outside = [i for i in range(2) if i not in model.active_set]
         assert all(model.coefficients[i] == 0.0 for i in outside)
+
+
+@st.composite
+def _problems(draw):
+    """A generic full-column-rank system, some of its columns zeroed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(8, 40))
+    cols = draw(st.integers(1, 6))
+    zero = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+    A = rng.normal(size=(rows, cols)) * rng.uniform(0.1, 10.0, size=cols)
+    A[:, zero] = 0.0
+    return A, rng.normal(size=rows)
+
+
+class TestStlsProperties:
+    @given(_problems(), st.floats(0.0, 2.0), st.booleans())
+    def test_support_invariants(self, problem, threshold, standardize):
+        A, b = problem
+        model = stls(A, b, threshold, standardize=standardize)
+        zero_cols = np.flatnonzero(~A.any(axis=0))
+        assert not set(zero_cols) & set(model.active_set)
+        outside = np.setdiff1d(np.arange(A.shape[1]), model.active_set)
+        assert np.all(model.coefficients[outside] == 0.0)
+        if model.converged and not standardize:
+            kept = np.abs(model.coefficients[model.active_set])
+            assert np.all(kept >= threshold)
+
+    @given(_problems(), st.booleans())
+    def test_zero_threshold_matches_least_squares(self, problem, standardize):
+        A, b = problem
+        dense = least_squares(A, b)
+        model = stls(A, b, 0.0, standardize=standardize)
+        assert (np.linalg.norm(model.coefficients - dense)
+                <= 1e-10 * np.linalg.norm(dense))

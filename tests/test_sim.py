@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import helpers
 from lagdyn import sim
@@ -42,6 +44,13 @@ def test_derived_seed_properties():
     assert len(set(seeds)) == 1000
     assert all(0 <= s < 2**64 for s in seeds)
     assert sim.derived_seed(123, 0) != sim.derived_seed(124, 0)
+
+
+@given(st.integers(), st.integers(0, 2**40))
+def test_derived_seed_is_a_deterministic_64_bit_value(base_seed, index):
+    seed = sim.derived_seed(base_seed, index)
+    assert seed == sim.derived_seed(base_seed, index)
+    assert 0 <= seed < 2**64
 
 
 def test_increments_from_normals_moments():
@@ -164,9 +173,7 @@ def test_ensemble_rows_match_single_trajectories():
 
     wave = sim.benchmark_spec("wave")
     ens = sim.generate_ensemble(wave, 1e-4, 0.005, 2, base_seed=5)
-    single = sim.integrate_euler_maruyama(
-        wave, 1e-4, 50, sim.NoiseStream(sim.derived_seed(5, 1))
-    )
+    single = sim.integrate_batch(wave, 1e-4, 50, 2, base_seed=5)[1]
     assert np.array_equal(ens.displacement[1], single[:101])
     assert np.array_equal(ens.velocity[1], single[101:])
 
@@ -181,9 +188,8 @@ def test_integrate_batch_matches_single_paths():
 
     geo = helpers.geometric_ou_spec()
     batch = sim.integrate_batch(geo, 1e-3, 30, 3, base_seed=21, method="euler")
-    single = sim.integrate_euler_maruyama(
-        geo, 1e-3, 30, sim.NoiseStream(sim.derived_seed(21, 0))
-    )
+    single = sim.integrate_batch(geo, 1e-3, 30, 1, base_seed=21,
+                                 method="euler")[0]
     assert np.array_equal(batch[0], single)
 
     with pytest.raises(ConfigError):
@@ -251,14 +257,14 @@ def test_wave_pinned_nodes_hold_zero():
 def test_wave_stability_guard():
     spec = sim.benchmark_spec("wave")
     with pytest.raises(StabilityError):
-        sim.integrate_euler_maruyama(spec, 6e-3, 10, sim.NoiseStream(0))
+        sim.integrate_batch(spec, 6e-3, 10, 1, base_seed=0)
     with pytest.raises(StabilityError):
         sim.generate_ensemble(spec, 6e-3, 0.06, 2, base_seed=0)
 
 
 def test_wave_quiet_energy_windowed_drift():
     spec = helpers.silence(sim.benchmark_spec("wave"))
-    traj = sim.integrate_euler_maruyama(spec, 1e-4, 10_000, sim.NoiseStream(0))
+    traj = sim.integrate_batch(spec, 1e-4, 10_000, 1, base_seed=0)[0]
     u, v = traj[:101], traj[101:]
     grad = (u[1:] - u[:-1]) / 0.01
     energy = 0.5 * np.sum(v**2, axis=0) + 2.0 * np.sum(grad**2, axis=0)
@@ -277,7 +283,7 @@ def test_wave_smooth_mode_returns_after_one_period():
         initial_state=np.concatenate([u0, np.zeros_like(u0)]),
     )
     # standing mode sin(pi x) cos(pi c t) has period 2/c = 1
-    traj = sim.integrate_euler_maruyama(spec, 1e-4, 10_000, sim.NoiseStream(0))
+    traj = sim.integrate_batch(spec, 1e-4, 10_000, 1, base_seed=0)[0]
     assert np.max(np.abs(traj[:101, -1] - u0)) < 1e-3
 
 
@@ -296,7 +302,7 @@ def test_beam_stability_guard():
     spec = sim.benchmark_spec("beam")
     assert spec.params["max_stable_dt"] > 1e-4
     with pytest.raises(StabilityError):
-        sim.integrate_euler_maruyama(spec, 2e-4, 10, sim.NoiseStream(0))
+        sim.integrate_batch(spec, 2e-4, 10, 1, base_seed=0)
 
 
 def test_beam_biharmonic_interior_oracle():
@@ -340,7 +346,7 @@ def test_beam_acceleration_oracle_interior():
 
 def test_beam_quiet_trajectory_oscillates_in_first_mode():
     spec = helpers.silence(sim.benchmark_spec("beam"))
-    traj = sim.integrate_euler_maruyama(spec, 1e-4, 20_000, sim.NoiseStream(0))
+    traj = sim.integrate_batch(spec, 1e-4, 20_000, 1, base_seed=0)[0]
     u = traj[:101]
     peak = np.max(np.abs(u))
     assert 1.9 < peak < 2.2
@@ -507,6 +513,81 @@ def test_generate_ensemble_validates_arguments():
         sim.generate_ensemble(scalar, 1e-3, 0.1, 2, base_seed=0)
 
 
+_HARMONIC = sim.benchmark_spec("harmonic")
+_WAVE = sim.benchmark_spec("wave")
+_DT = 1e-3
+
+
+def _increments(shape):
+    return sim.integrate_taylor15_increments(
+        _HARMONIC, _DT, np.zeros(shape), np.zeros(shape))
+
+
+# One row per bad stepping argument and public stepper; every stepper
+# reaches the same checks in sim._simulate.
+FRONT_DOOR = [
+    pytest.param(lambda: sim.generate_ensemble(_HARMONIC, 0.0, 0.1, 2, 0),
+                 ValueError, id="ensemble-zero-dt"),
+    pytest.param(lambda: sim.generate_ensemble(_HARMONIC, -_DT, 0.1, 2, 0),
+                 ValueError, id="ensemble-negative-dt"),
+    pytest.param(lambda: sim.generate_ensemble(_HARMONIC, _DT, 0.1, 0, 0),
+                 ValueError, id="ensemble-no-realizations"),
+    pytest.param(lambda: sim.generate_ensemble(_HARMONIC, _DT, _DT / 4, 2, 0),
+                 ValueError, id="ensemble-zero-steps"),
+    pytest.param(lambda: sim.simulate_rows(_HARMONIC, 0.0, 0.1, 2, 0, [0]),
+                 ValueError, id="rows-zero-dt"),
+    pytest.param(lambda: sim.simulate_rows(_HARMONIC, _DT, 0.1, 0, 0, [0]),
+                 ValueError, id="rows-no-realizations"),
+    pytest.param(lambda: sim.simulate_rows(_HARMONIC, _DT, _DT / 4, 2, 0, [0]),
+                 ValueError, id="rows-zero-steps"),
+    pytest.param(lambda: sim.simulate_field_rows(_WAVE, -1e-4, 0.01, 2, 0, [50]),
+                 ValueError, id="field-rows-negative-dt"),
+    pytest.param(lambda: sim.simulate_field_rows(_WAVE, 1e-4, 0.01, 0, 0, [50]),
+                 ValueError, id="field-rows-no-realizations"),
+    pytest.param(lambda: sim.simulate_field_rows(_WAVE, 1e-4, 2e-5, 2, 0, [50]),
+                 ValueError, id="field-rows-zero-steps"),
+    pytest.param(lambda: sim.simulate_field_rows(_HARMONIC, _DT, 0.1, 2, 0, [0]),
+                 ConfigError, id="field-rows-particle-system"),
+    pytest.param(lambda: sim.integrate_batch(_HARMONIC, 0.0, 10, 2, 0),
+                 ValueError, id="batch-zero-dt"),
+    pytest.param(lambda: sim.integrate_batch(_HARMONIC, _DT, 10, 0, 0),
+                 ValueError, id="batch-no-realizations"),
+    pytest.param(lambda: sim.integrate_batch(_HARMONIC, _DT, 0, 2, 0),
+                 ValueError, id="batch-zero-steps"),
+    pytest.param(lambda: sim.integrate_batch(_WAVE, 1e-4, 10, 2, 0,
+                                             method="taylor15"),
+                 ConfigError, id="batch-taylor-on-field"),
+    pytest.param(lambda: sim.integrate_batch(_HARMONIC, _DT, 10, 2, 0,
+                                             method="leapfrog"),
+                 ConfigError, id="batch-unknown-method"),
+    pytest.param(lambda: sim.integrate_taylor15(_HARMONIC, 0.0, 10,
+                                                sim.NoiseStream(0)),
+                 ValueError, id="taylor-zero-dt"),
+    pytest.param(lambda: sim.integrate_taylor15(_HARMONIC, _DT, 0,
+                                                sim.NoiseStream(0)),
+                 ValueError, id="taylor-zero-steps"),
+    pytest.param(lambda: sim.integrate_taylor15(_WAVE, 1e-4, 10,
+                                                sim.NoiseStream(0)),
+                 ConfigError, id="taylor-on-field"),
+    pytest.param(lambda: sim.integrate_taylor15_increments(
+                     _HARMONIC, 0.0, np.zeros((5, 1)), np.zeros((5, 1))),
+                 ValueError, id="increments-zero-dt"),
+    pytest.param(lambda: _increments((0, 5, 1)), ValueError,
+                 id="increments-no-realizations"),
+    pytest.param(lambda: _increments((0, 1)), ValueError,
+                 id="increments-zero-steps"),
+    pytest.param(lambda: sim.integrate_taylor15_increments(
+                     _WAVE, 1e-4, np.zeros((5, 99)), np.zeros((5, 99))),
+                 ConfigError, id="increments-on-field"),
+]
+
+
+@pytest.mark.parametrize("call, error", FRONT_DOOR)
+def test_steppers_reject_bad_stepping_arguments(call, error):
+    with pytest.raises(error):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Container round trips
 # ---------------------------------------------------------------------------
@@ -539,5 +620,45 @@ def test_container_rejects_foreign_files(tmp_path):
         sim.load_ensemble(path)
     path = tmp_path / "wrong.bin"
     path.write_bytes(b'{"format": "other"}\n')
+    with pytest.raises(ConfigError):
+        sim.load_ensemble(path)
+
+
+@st.composite
+def _ensembles(draw):
+    n_real, coords, n_steps = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                               draw(st.integers(2, 6)))
+    samples = hnp.arrays(float, (n_real, coords, n_steps),
+                         elements=st.floats(allow_nan=False, allow_infinity=False))
+    grid = hnp.arrays(float, coords, elements=st.floats(-10.0, 10.0))
+    return sim.Ensemble(
+        dt=draw(st.floats(1e-9, 1e3)), n_steps=n_steps, n_real=n_real,
+        coords=coords, displacement=draw(samples), velocity=draw(samples),
+        spatial_grid=draw(st.none() | grid),
+    )
+
+
+@given(_ensembles())
+def test_container_round_trip_property(tmp_path_factory, ens):
+    path = tmp_path_factory.mktemp("container") / "ens.bin"
+    sim.save_ensemble(ens, path)
+    back = sim.load_ensemble(path)
+    assert (back.dt, back.n_real, back.coords, back.n_steps) == (
+        ens.dt, ens.n_real, ens.coords, ens.n_steps)
+    assert np.array_equal(back.displacement, ens.displacement)
+    assert np.array_equal(back.velocity, ens.velocity)
+    if ens.spatial_grid is None:
+        assert back.spatial_grid is None
+    else:
+        assert np.array_equal(back.spatial_grid, ens.spatial_grid)
+
+
+@given(_ensembles(), st.data())
+def test_truncated_container_is_rejected(tmp_path_factory, ens, data):
+    path = tmp_path_factory.mktemp("container") / "ens.bin"
+    sim.save_ensemble(ens, path)
+    full = path.read_bytes()
+    cut = data.draw(st.integers(1, len(full)), label="bytes cut")
+    path.write_bytes(full[:-cut])
     with pytest.raises(ConfigError):
         sim.load_ensemble(path)

@@ -46,34 +46,36 @@ def test_full_state_ensemble_matches_oracle(name, chunk, monkeypatch):
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("name", ["wave", "beam"])
-def test_selected_field_rows_match_oracle(name, chunk):
+def test_selected_field_rows_match_oracle(name, chunk, monkeypatch):
+    monkeypatch.setattr(sim, "CHUNK_STEPS", chunk)
     spec = sim.benchmark_spec(name)
     rows = [50, spec.dim + 20, 3, 4, spec.dim + 21]
-    got = sim.simulate_field_rows(spec, DT, 40 * DT, 3, 5, rows,
-                                  chunk_steps=chunk)
+    got = sim.simulate_field_rows(spec, DT, 40 * DT, 3, 5, rows)
     oracle = helpers.reference_states(spec, DT, 40, 3, 5)
     assert np.array_equal(got, oracle[:, rows])
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("name", ["wave", "harmonic", "3dof"])
-def test_joint_run_matches_single_runs(name, chunk):
+def test_joint_run_matches_single_runs(name, chunk, monkeypatch):
+    monkeypatch.setattr(sim, "CHUNK_STEPS", chunk)
     spec, _, pred = _discovered(name)
     rows = [50] if spec.kind == "spde" else range(spec.dim)
-    joint = sim.simulate_rows(spec, DT, 30 * DT, 4, 9, rows, partners=(pred,),
-                              chunk_steps=chunk)
-    truth = sim.simulate_rows(spec, DT, 30 * DT, 4, 9, rows, chunk_steps=chunk)
-    alone = sim.simulate_rows(pred, DT, 30 * DT, 4, 9, rows, chunk_steps=chunk)
+    joint = sim.simulate_rows(spec, DT, 30 * DT, 4, 9, rows, partners=(pred,))
+    truth = sim.simulate_rows(spec, DT, 30 * DT, 4, 9, rows)
+    alone = sim.simulate_rows(pred, DT, 30 * DT, 4, 9, rows)
     assert np.array_equal(joint, np.concatenate([truth, alone]))
     assert not np.array_equal(truth, alone)
 
 
-def test_joint_run_with_other_noise_layout_draws_its_own_noise():
+def test_joint_run_with_other_noise_layout_draws_its_own_noise(monkeypatch):
     # A noiseless partner has no noise coordinates: it cannot share the
     # truth's draw and steps on streams of its own.
     spec, _, pred = _discovered("3dof", gain_scale=0.0)
+    monkeypatch.setattr(sim, "CHUNK_STEPS", 7)
     joint = sim.simulate_rows(spec, DT, 30 * DT, 3, 4, range(3),
-                              partners=(pred,), chunk_steps=7)
+                              partners=(pred,))
+    monkeypatch.undo()
     truth = sim.simulate_rows(spec, DT, 30 * DT, 3, 4, range(3))
     alone = sim.simulate_rows(pred, DT, 30 * DT, 3, 4, range(3))
     assert np.array_equal(joint, np.concatenate([truth, alone]))
