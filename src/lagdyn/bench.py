@@ -151,18 +151,60 @@ def true_models(
     return lag, replace(eom, gains=np.array(gains, dtype=float))
 
 
+def discovery_libraries(
+    name: str, spec: sim.SystemSpec, config: BenchmarkConfig
+) -> tuple[list[library.CandidateLibrary], list[library.CandidateLibrary]]:
+    """Lagrangian and diffusion libraries of discovery, probe nodes applied."""
+    libs = library.build_lagrangian_library(name, spec.dim)
+    glibs = library.build_diffusion_library(name, spec.dim)
+    if config.probe_nodes is not None:
+        idx = _probe_library_indices(spec, config.probe_nodes)
+        libs = [libs[i] for i in idx]
+        glibs = [glibs[i] for i in idx]
+    return libs, glibs
+
+
+def training_record(
+    spec: sim.SystemSpec,
+    config: BenchmarkConfig,
+    libraries: tuple[list[library.CandidateLibrary],
+                     list[library.CandidateLibrary]],
+    seed: int,
+) -> sim.TrainingRecord:
+    """Simulate the training ensemble, keeping only the rows discovery reads.
+
+    Every coordinate for a discrete system; the probe neighbourhoods for a
+    field. Discovery on the record gives the bytes it gives on the full
+    ensemble.
+    """
+    dt, t_f, n_real = training_protocol(spec, config)
+    rows = discovery.training_rows(*libraries, spec.dim)
+    return sim.generate_ensemble(spec, dt=dt, t_f=t_f, n_real=n_real,
+                                 base_seed=seed, rows=rows)
+
+
 def discover_models(
-    ensemble: sim.Ensemble,
+    ensemble: sim.Ensemble | sim.TrainingRecord,
     name: str,
     spec: sim.SystemSpec,
     config: BenchmarkConfig,
+    libraries: tuple[list[library.CandidateLibrary],
+                     list[library.CandidateLibrary]] | None = None,
 ) -> tuple[discovery.LagrangianModel, discovery.DiffusionModel,
            discovery.EquationsOfMotion]:
     """Run the discovery pipeline on a training ensemble.
 
+    Args:
+        ensemble: Full ensemble or training record of the system.
+        name: Benchmark name.
+        spec: Benchmark system.
+        config: Pipeline settings.
+        libraries: The discovery_libraries of (name, spec, config), when
+            the caller has built them already.
+
     Raises:
-        ConfigError: if the ensemble's coordinates or grid are not those
-            of the system.
+        ConfigError: if the ensemble's coordinates, grid or system name
+            are not those of the system.
     """
     if ensemble.coords != spec.dim:
         raise ConfigError(
@@ -173,12 +215,12 @@ def discover_models(
                  else np.array_equal(ensemble.spatial_grid, spec.spatial.grid))
     if not same_grid:
         raise ConfigError(f"ensemble grid does not match system '{name}'")
-    libs = library.build_lagrangian_library(name, spec.dim)
-    glibs = library.build_diffusion_library(name, spec.dim)
-    if config.probe_nodes is not None:
-        idx = _probe_library_indices(spec, config.probe_nodes)
-        libs = [libs[i] for i in idx]
-        glibs = [glibs[i] for i in idx]
+    if ensemble.system is not None and ensemble.system != spec.name:
+        raise ConfigError(
+            f"ensemble was simulated for system '{ensemble.system}', "
+            f"not '{name}'"
+        )
+    libs, glibs = libraries or discovery_libraries(name, spec, config)
     lag = discovery.discover_lagrangian(
         ensemble, libs, config.lambda_lagrangian,
         rcond=config.rcond_lagrangian,
@@ -735,15 +777,19 @@ def run_benchmark(
         )
 
     try:
-        ensemble = sim.generate_ensemble(spec, dt=dt, t_f=t_f,
-                                         n_real=n_real, base_seed=seed)
+        libraries = discovery_libraries(name, spec, config)
+        ensemble = training_record(spec, config, libraries, seed)
     except LagdynError as exc:
         return fail("simulate", exc)
 
     try:
-        lag, diff, eom = discover_models(ensemble, name, spec, config)
+        lag, diff, eom = discover_models(ensemble, name, spec, config,
+                                         libraries)
     except LagdynError as exc:
         return fail("discover", exc)
+    # The training data is not read past discovery; free it before the
+    # prediction comparison allocates.
+    del ensemble
 
     try:
         lag_true, eom_true = true_models(name, spec, config)

@@ -214,14 +214,13 @@ def cmd_discover(config: RunConfig) -> int:
     out_dir = _resolve_output_dir(config)
     bench_config = _benchmark_config(config.system, config)
     _print_header("discover", seed, is_default, out_dir)
+    libraries = bench.discovery_libraries(config.system, spec, bench_config)
     if config.ensemble is not None:
         ensemble = sim.load_ensemble(config.ensemble)
     else:
-        dt, t_f, n_real = bench.training_protocol(spec, bench_config)
-        ensemble = sim.generate_ensemble(spec, dt=dt, t_f=t_f,
-                                         n_real=n_real, base_seed=seed)
+        ensemble = bench.training_record(spec, bench_config, libraries, seed)
     lag, diff, eom = bench.discover_models(ensemble, config.system, spec,
-                                           bench_config)
+                                           bench_config, libraries)
     ham = discovery.legendre_transform(lag)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = config.system

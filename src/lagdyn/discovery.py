@@ -23,12 +23,13 @@ from lagdyn.library import (
     BasisDescriptor,
     CandidateLibrary,
     basis_partials,
+    basis_reads,
     el_transform,
     eval_basis,
     split_kinetic,
 )
 from lagdyn.regression import stls
-from lagdyn.sim import Ensemble
+from lagdyn.sim import Ensemble, TrainingRecord
 
 _KINETIC_PATTERN = re.compile(r"^0\.5\*(\w+)\^2$")
 
@@ -198,7 +199,7 @@ class LagrangianModel:
 
 
 def discover_lagrangian(
-    ensemble: Ensemble,
+    ensemble: Ensemble | TrainingRecord,
     libraries: list[CandidateLibrary],
     lam: float,
     rcond: float | None = None,
@@ -213,7 +214,8 @@ def discover_lagrangian(
     drift identity of explicit schemes exact in expectation.
 
     Args:
-        ensemble: Training data.
+        ensemble: Training data: an Ensemble, or a TrainingRecord of the
+            rows training_rows names.
         libraries: One candidate library per target coordinate.
         lam: Sparsity threshold in the units of the discovered coefficients.
             The regression thresholds raw coefficients rather than
@@ -359,11 +361,54 @@ def _is_square_of(basis: BasisDescriptor, coord: int | None = None) -> bool:
     return coord is None or basis.coords == (coord,)
 
 
+def _is_displacement(basis: BasisDescriptor) -> bool:
+    """True for a plain displacement u_i, whose mean is the realization sum / N."""
+    return basis.form == "monomial" and not basis.on_velocity and basis.degree == 1
+
+
+def training_rows(
+    libraries: list[CandidateLibrary],
+    diff_libraries: list[CandidateLibrary],
+    coords: int,
+) -> list[int]:
+    """State rows that discover_lagrangian and discover_diffusion read.
+
+    Row i is the displacement of coordinate i and row coords + i its
+    velocity. A TrainingRecord of these rows (sim.generate_ensemble with
+    ``rows``) gives both discoveries the bytes the full Ensemble gives: the
+    feature partials and the residual read the rows found here, and the
+    means of plain displacement columns come from the record's realization
+    sum, which covers every coordinate.
+
+    Args:
+        libraries: Lagrangian libraries, one per target coordinate.
+        diff_libraries: Diffusion libraries aligned with them.
+        coords: Number of coordinates of the system.
+    """
+    disp: set[int] = set()
+    vel: set[int] = set()
+
+    def add(reads):
+        disp.update(reads[0])
+        vel.update(reads[1])
+
+    for lib in libraries:
+        for basis in lib.bases:
+            add(basis_reads(basis, coords, lib.target_coord))
+    for lib in diff_libraries:
+        # The residual's momentum and the nearly-constant note.
+        add(({lib.target_coord}, {lib.target_coord}))
+        for basis in lib.bases:
+            if not (_is_square_of(basis) or _is_displacement(basis)):
+                add(basis_reads(basis, coords))
+    return sorted(disp) + [coords + i for i in sorted(vel)]
+
+
 def _el_residual(
     particle: ParticleLagrangian,
     registry: dict[str, BasisDescriptor],
-    u: np.ndarray,
-    v: np.ndarray,
+    u,
+    v,
     dx: float | None,
     dt: float,
 ) -> np.ndarray:
@@ -386,7 +431,7 @@ def _el_residual(
 
 
 def discover_diffusion(
-    ensemble: Ensemble,
+    ensemble: Ensemble | TrainingRecord,
     lagrangian: LagrangianModel,
     diff_library: list[CandidateLibrary],
     lam: float,
@@ -438,13 +483,17 @@ def discover_diffusion(
         key = id(bases)
         if key not in literal_cache:
             acc = np.zeros((rows, len(bases)))
+            plain = [j for j, b in enumerate(bases) if _is_displacement(b)]
+            if plain:
+                total = ensemble.displacement_sum()
+                for j in plain:
+                    acc[:, j] = total[bases[j].coords[0], :rows]
+            others = [j for j, b in enumerate(bases)
+                      if not (_is_square_of(b) or _is_displacement(b))]
             for k in range(ensemble.n_real):
-                u = ensemble.displacement[k]
-                v = ensemble.velocity[k]
-                for j, basis in enumerate(bases):
-                    if _is_square_of(basis):
-                        continue
-                    acc[:, j] += eval_basis(basis, u, v, dx=dx)[:rows]
+                u, v = ensemble.realization(k)
+                for j in others:
+                    acc[:, j] += eval_basis(bases[j], u, v, dx=dx)[:rows]
             acc /= ensemble.n_real
             literal_cache[key] = acc
         return literal_cache[key]
@@ -455,10 +504,8 @@ def discover_diffusion(
         tc = lib.target_coord
         target = np.zeros(rows)
         for k in range(ensemble.n_real):
-            res = _el_residual(
-                particle, lagrangian.registry,
-                ensemble.displacement[k], ensemble.velocity[k], dx, dt,
-            )
+            res = _el_residual(particle, lagrangian.registry,
+                               *ensemble.realization(k), dx, dt)
             target += res * res
         target *= dt / ensemble.n_real
 
@@ -489,7 +536,8 @@ def discover_diffusion(
             )
         coord_name = _position_name(particle.kinetic_label)
         if retained:
-            series = ensemble.displacement[:, tc, :]
+            series = np.stack([ensemble.realization(k)[0][tc]
+                               for k in range(ensemble.n_real)])
             span = float(series.max() - series.min())
             scale = float(np.abs(series).max())
             if scale > 0 and span < 1e-9 * scale:

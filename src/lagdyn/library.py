@@ -30,7 +30,7 @@ import numpy as np
 
 from lagdyn import numdiff
 from lagdyn.errors import ConfigError, RegressionError
-from lagdyn.sim import Ensemble
+from lagdyn.sim import Ensemble, TrainingRecord
 
 FORMS = (
     "constant",
@@ -369,6 +369,43 @@ def basis_partials(
     raise ConfigError(f"unknown basis form '{form}'")
 
 
+class _ReadLog:
+    """Stands in for a (n, N_t) block and logs the coordinates read from it."""
+
+    def __init__(self, n: int):
+        self.shape = (n, 1)
+        self.read: set[int] = set()
+
+    def __getitem__(self, index) -> np.ndarray:
+        self.read.add(int(index) % self.shape[0])
+        return np.zeros(1)
+
+
+def basis_reads(
+    basis: BasisDescriptor, n: int, target: int | None = None
+) -> tuple[set[int], set[int]]:
+    """Coordinates whose displacement and velocity a basis reads.
+
+    With a target, those that basis_partials(basis, ..., target) reads;
+    without, those that eval_basis reads. Found by running the evaluator
+    on zero samples, so the answer cannot drift from the evaluators.
+
+    Args:
+        basis: Descriptor.
+        n: Number of coordinates of the data.
+        target: Coordinate of the partial derivatives, or None.
+
+    Returns:
+        (displacement coordinates, velocity coordinates).
+    """
+    u, v = _ReadLog(n), _ReadLog(n)
+    if target is None:
+        eval_basis(basis, u, v, dx=1.0)
+    else:
+        basis_partials(basis, u, v, 1.0, target)
+    return u.read, v.read
+
+
 # ---------------------------------------------------------------------------
 # Euler-Lagrange feature assembly
 # ---------------------------------------------------------------------------
@@ -381,7 +418,7 @@ _STENCILS = {
 
 def el_transform(
     lib: CandidateLibrary,
-    ensemble: Ensemble,
+    ensemble: Ensemble | TrainingRecord,
     stencil: str = "central",
 ) -> ElFeatureMatrix:
     """Assemble E[d/dt dD/dv_i - dD/du_i] for every basis in a library.
@@ -393,7 +430,8 @@ def el_transform(
 
     Args:
         lib: Candidate library with its target coordinate.
-        ensemble: Simulation data.
+        ensemble: Simulation data: a full Ensemble, or a TrainingRecord
+            holding the rows of training_rows (see discovery).
         stencil: "central" (default) or "forward" momentum time stencil.
 
     Returns:
@@ -410,15 +448,15 @@ def el_transform(
     m = lib.size
     sums = np.zeros((m, n_t))
     for k in range(ensemble.n_real):
-        u = ensemble.displacement[k]
-        v = ensemble.velocity[k]
+        u, v = ensemble.realization(k)
         for j, basis in enumerate(lib.bases):
             pu, pv = basis_partials(basis, u, v, dx, lib.target_coord)
             if pv is not None:
                 sums[j] += derivative(pv, ensemble.dt)
             if pu is not None:
                 sums[j] -= pu
-    values = (sums / ensemble.n_real).T
+    sums /= ensemble.n_real
+    values = sums.T
     bad = ~np.all(np.isfinite(values), axis=0)
     if bad.any():
         label = lib.bases[int(np.flatnonzero(bad)[0])].label

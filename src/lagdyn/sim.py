@@ -141,6 +141,8 @@ class Ensemble:
         displacement: Array of shape (N, n, N_t).
         velocity: Array of shape (N, n, N_t).
         spatial_grid: Node coordinates for field systems, else None.
+        system: Name of the simulated system, None when unknown (containers
+            written before the name was stored).
     """
 
     dt: float
@@ -150,6 +152,7 @@ class Ensemble:
     displacement: np.ndarray
     velocity: np.ndarray
     spatial_grid: np.ndarray | None = None
+    system: str | None = None
 
     def __post_init__(self):
         shape = (self.n_real, self.coords, self.n_steps)
@@ -167,6 +170,84 @@ class Ensemble:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps) * self.dt
+
+    def realization(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(displacement, velocity) of realization k, each (n, N_t)."""
+        return self.displacement[k], self.velocity[k]
+
+    def displacement_sum(self) -> np.ndarray:
+        """Displacement summed over realizations k = 0..N-1, (n, N_t).
+
+        Realizations add to zeros one at a time, in order, so the sum is
+        bitwise that of a TrainingRecord of the same run.
+        """
+        total = np.zeros(self.displacement.shape[1:])
+        for k in range(self.n_real):
+            total += self.displacement[k]
+        return total
+
+
+class _Rows:
+    """Recorded rows of one state block, read by absolute coordinate index.
+
+    Stands in for a (coords, N_t) array wherever discovery indexes single
+    coordinates; reading a coordinate that was not recorded raises.
+    """
+
+    def __init__(self, data: np.ndarray, position: dict[int, int], coords: int):
+        self.data = data
+        self.position = position
+        self.shape = (coords, data.shape[-1])
+
+    def __getitem__(self, index) -> np.ndarray:
+        node = int(index)
+        if node < 0:
+            node += self.shape[0]
+        if node not in self.position:
+            raise LookupError(f"coordinate {index} was not recorded")
+        return self.data[self.position[node]]
+
+
+@dataclass
+class TrainingRecord:
+    """The rows of a training ensemble that discovery reads.
+
+    Holds selected displacement and velocity rows of every realization and
+    the displacement of every coordinate summed over realizations. It
+    answers the same reads as an Ensemble (realization, displacement_sum)
+    for the recorded rows and raises on any other.
+
+    Attributes:
+        dt, n_steps, n_real, coords, spatial_grid, system: As in Ensemble.
+        disp_nodes: Coordinates whose displacement is recorded.
+        vel_nodes: Coordinates whose velocity is recorded.
+        displacement: Recorded displacement rows, (N, len(disp_nodes), N_t).
+        velocity: Recorded velocity rows, (N, len(vel_nodes), N_t).
+        total: Displacement summed over realizations, (n, N_t).
+    """
+
+    dt: float
+    n_steps: int
+    n_real: int
+    coords: int
+    disp_nodes: tuple[int, ...]
+    vel_nodes: tuple[int, ...]
+    displacement: np.ndarray
+    velocity: np.ndarray
+    total: np.ndarray
+    spatial_grid: np.ndarray | None = None
+    system: str | None = None
+
+    def __post_init__(self):
+        self._disp_pos = {node: j for j, node in enumerate(self.disp_nodes)}
+        self._vel_pos = {node: j for j, node in enumerate(self.vel_nodes)}
+
+    def realization(self, k: int) -> tuple[_Rows, _Rows]:
+        return (_Rows(self.displacement[k], self._disp_pos, self.coords),
+                _Rows(self.velocity[k], self._vel_pos, self.coords))
+
+    def displacement_sum(self) -> np.ndarray:
+        return self.total
 
 
 def _noise_layout(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -262,16 +343,24 @@ class _Recorder:
 
     Each output has shape (batch, n_rows, n_steps + 1). Steps are buffered
     time-major, one contiguous slab per step, and a flush moves the
-    buffered steps into the outputs in one transposed copy.
+    buffered steps into the outputs in one transposed copy. Rows in
+    ``summed`` are not kept per realization: ``total`` (n_rows,
+    n_steps + 1) holds their sum over the batch.
     """
 
     def __init__(self, row_sets, widths: tuple[int, ...], batch: int,
-                 n_steps: int, depth: int):
+                 n_steps: int, depth: int, summed=None):
         starts = np.cumsum((0,) + widths)
-        self.outputs, self.buffers, self.copies = [], [], []
+        self.outputs = [np.empty((batch, len(rows), n_steps + 1))
+                        for rows in row_sets]
+        self.total = None
+        if summed is not None:
+            # Buffered like a kept row set, the last one; flush sums it.
+            self.total = np.empty((len(summed), n_steps + 1))
+            row_sets = list(row_sets) + [summed]
+        self.buffers, self.copies = [], []
         for o, rows in enumerate(row_sets):
             rows = [int(r) for r in rows]
-            self.outputs.append(np.empty((batch, len(rows), n_steps + 1)))
             self.buffers.append(np.empty((depth, batch, len(rows))))
             # Runs of rows consecutive in one state block copy as one slice.
             runs: list[list[int]] = []
@@ -294,8 +383,17 @@ class _Recorder:
 
     def flush(self, m: int) -> None:
         """Move the first m buffered steps into the outputs."""
+        steps = slice(self.filled, self.filled + m)
         for out, buf in zip(self.outputs, self.buffers):
-            out[:, :, self.filled:self.filled + m] = buf[:m].transpose(1, 2, 0)
+            out[:, :, steps] = buf[:m].transpose(1, 2, 0)
+        if self.total is not None:
+            buf = self.buffers[-1][:m]
+            acc = np.zeros((m, buf.shape[2]))
+            # Realizations add to zeros one at a time, in order: a numpy
+            # sum over the batch axis may pair them up and round otherwise.
+            for k in range(buf.shape[1]):
+                acc += buf[:, k]
+            self.total[:, steps] = acc.T
         self.filled += m
 
     def start(self, *blocks: np.ndarray) -> None:
@@ -457,7 +555,7 @@ _LOOPS = {"kick-drift": _kick_drift, "taylor15": _taylor15,
 
 
 def _simulate(specs, dt: float, n_steps: int, n_real: int, noise, row_sets,
-              method: str = "auto") -> list[np.ndarray]:
+              method: str = "auto", summed=None) -> list[np.ndarray]:
     """Check the stepping arguments, then step a batch of one or more sides.
 
     Every stochastic stepper of this module goes through here, so each
@@ -481,9 +579,11 @@ def _simulate(specs, dt: float, n_steps: int, n_real: int, noise, row_sets,
             a given (dW, dZ) pair of shape (n_real, n_steps, n_noise).
         row_sets: State rows to record, one output array per set.
         method: "auto", "taylor15" or "euler".
+        summed: State rows to record as their sum over the batch.
 
     Returns:
-        One array (len(specs) * n_real, len(rows), n_steps + 1) per row set.
+        One array (len(specs) * n_real, len(rows), n_steps + 1) per row set,
+        then, with ``summed``, their batch sum (len(summed), n_steps + 1).
 
     Raises:
         ValueError: for dt <= 0, fewer than 1 step or n_real < 1.
@@ -548,9 +648,9 @@ def _simulate(specs, dt: float, n_steps: int, n_real: int, noise, row_sets,
     depth = min(chunk_steps, n_steps)
     chunks = _ChunkNoise(sides, source, depth, offset, widths[-1],
                          scaled=scheme != "euler")
-    rec = _Recorder(row_sets, widths, batch, n_steps, depth)
+    rec = _Recorder(row_sets, widths, batch, n_steps, depth, summed)
     _LOOPS[scheme](sides, dt, n_steps, chunks, rec, chunk_steps)
-    return rec.outputs
+    return rec.outputs if summed is None else rec.outputs + [rec.total]
 
 
 def _window_steps(t_f: float, dt: float) -> int:
@@ -735,6 +835,8 @@ def integrate_rk4(spec: SystemSpec, dt: float, n_steps: int) -> np.ndarray:
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if n_steps < 1:
+        raise ValueError(f"at least 1 step is needed, got {n_steps}")
     y = np.asarray(spec.initial_state, dtype=float).copy()
     out = np.empty((y.size, n_steps + 1))
     out[:, 0] = y
@@ -755,7 +857,8 @@ def generate_ensemble(
     t_f: float,
     n_real: int,
     base_seed: int,
-) -> Ensemble:
+    rows=None,
+) -> Ensemble | TrainingRecord:
     """Generate an ensemble of independent realizations.
 
     Realization k draws all its noise from a generator seeded with
@@ -769,9 +872,13 @@ def generate_ensemble(
             least 2.
         n_real: Number of realizations, >= 1.
         base_seed: Ensemble seed.
+        rows: None for the full ensemble, or the state rows to keep (node i
+            is row i for its displacement, dim + i for its velocity).
 
     Returns:
-        Ensemble with arrays of shape (n_real, dim, N_t).
+        Ensemble with arrays of shape (n_real, dim, N_t); with ``rows`` a
+        TrainingRecord of those rows and the displacement summed over
+        realizations, bitwise equal to the same reads of the Ensemble.
     """
     n = spec.dim
     if np.size(spec.initial_state) != 2 * n:
@@ -779,18 +886,25 @@ def generate_ensemble(
             "ensemble generation expects displacement and velocity blocks"
         )
     n_steps = _window_steps(t_f, dt)
-    disp, vel = _simulate((spec,), dt, n_steps, n_real, base_seed,
-                          [range(n), range(n, 2 * n)])
     grid = spec.spatial.grid if spec.spatial is not None else None
-    return Ensemble(
-        dt=dt,
-        n_steps=n_steps + 1,
-        n_real=n_real,
-        coords=n,
-        displacement=disp,
-        velocity=vel,
-        spatial_grid=grid,
-    )
+    if rows is None:
+        disp, vel = _simulate((spec,), dt, n_steps, n_real, base_seed,
+                              [range(n), range(n, 2 * n)])
+        return Ensemble(dt=dt, n_steps=n_steps + 1, n_real=n_real, coords=n,
+                        displacement=disp, velocity=vel, spatial_grid=grid,
+                        system=spec.name)
+    rows = sorted({int(r) for r in rows})
+    if not rows or rows[0] < 0 or rows[-1] >= 2 * n:
+        raise ConfigError(f"rows must be non-empty state indices in [0, {2 * n})")
+    disp_nodes = tuple(r for r in rows if r < n)
+    vel_nodes = tuple(r - n for r in rows if r >= n)
+    disp, vel, total = _simulate(
+        (spec,), dt, n_steps, n_real, base_seed,
+        [disp_nodes, [n + i for i in vel_nodes]], summed=range(n))
+    return TrainingRecord(dt=dt, n_steps=n_steps + 1, n_real=n_real, coords=n,
+                          disp_nodes=disp_nodes, vel_nodes=vel_nodes,
+                          displacement=disp, velocity=vel, total=total,
+                          spatial_grid=grid, system=spec.name)
 
 
 # ---------------------------------------------------------------------------
@@ -1119,12 +1233,14 @@ _MAGIC = "ensemble-v1"
 def save_ensemble(ens: Ensemble, path: str | Path) -> None:
     """Write an ensemble to a binary container.
 
-    Layout: one JSON header line (format tag, shape, dt, grid), then the
-    displacement and velocity arrays as little-endian float64.
+    Layout: one JSON header line (format tag, shape, dt, grid, system
+    name), then the displacement and velocity arrays as little-endian
+    float64.
     """
     path = Path(path)
     header = {
         "format": _MAGIC,
+        "system": ens.system,
         "dt": ens.dt,
         "n_real": ens.n_real,
         "coords": ens.coords,
@@ -1141,7 +1257,11 @@ def save_ensemble(ens: Ensemble, path: str | Path) -> None:
 
 
 def load_ensemble(path: str | Path) -> Ensemble:
-    """Read an ensemble written by save_ensemble."""
+    """Read an ensemble written by save_ensemble.
+
+    Containers without a system name (written before it was stored) load
+    with ``system`` None.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -1166,6 +1286,9 @@ def load_ensemble(path: str | Path) -> Ensemble:
     disp = np.frombuffer(payload, dtype="<f8", count=count)
     vel = np.frombuffer(payload, dtype="<f8", count=count, offset=8 * count)
     grid = header.get("spatial_grid")
+    system = header.get("system")
+    if system is not None and not isinstance(system, str):
+        raise ConfigError(f"malformed container header in {path}")
     try:
         return Ensemble(
             dt=header.get("dt"),
@@ -1175,6 +1298,7 @@ def load_ensemble(path: str | Path) -> Ensemble:
             displacement=disp.reshape(shape).copy(),
             velocity=vel.reshape(shape).copy(),
             spatial_grid=None if grid is None else np.asarray(grid, dtype=float),
+            system=system,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid ensemble in {path}: {exc}") from exc

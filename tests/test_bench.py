@@ -63,6 +63,10 @@ def test_discover_models_rejects_foreign_ensemble():
         with pytest.raises(ConfigError, match="grid does not match"):
             bench.discover_models(foreign, "wave", wave,
                                   bench.DEFAULT_CONFIGS["wave"])
+    # Wave and beam share coordinates and grid; the system name differs.
+    with pytest.raises(ConfigError, match="simulated for system 'wave'"):
+        bench.discover_models(field, "beam", sim.benchmark_spec("beam"),
+                              bench.DEFAULT_CONFIGS["beam"])
 
 
 def test_pooled_parameters_average_with_absent_zero():

@@ -184,6 +184,9 @@ BAD_INPUTS = [
     pytest.param(_foreign_container("3dof", "harmonic"), 2,
                  "ensemble has 1 coordinates, but system '3dof' has 3",
                  id="discover-3dof-on-harmonic-ensemble"),
+    pytest.param(_foreign_container("beam", "wave"), 2,
+                 "ensemble was simulated for system 'wave', not 'beam'",
+                 id="discover-beam-on-wave-ensemble"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Tests for ensemble simulation: integrators, benchmarks, containers."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -579,6 +580,10 @@ FRONT_DOOR = [
     pytest.param(lambda: sim.integrate_taylor15_increments(
                      _WAVE, 1e-4, np.zeros((5, 99)), np.zeros((5, 99))),
                  ConfigError, id="increments-on-field"),
+    pytest.param(lambda: sim.integrate_rk4(_HARMONIC, _DT, 0),
+                 ValueError, id="rk4-zero-steps"),
+    pytest.param(lambda: sim.integrate_rk4(_HARMONIC, _DT, -2),
+                 ValueError, id="rk4-negative-steps"),
 ]
 
 
@@ -603,6 +608,7 @@ def test_container_round_trip(tmp_path):
     assert np.array_equal(back.displacement, ens.displacement)
     assert np.array_equal(back.velocity, ens.velocity)
     assert back.spatial_grid is None
+    assert back.system == ens.system == "harmonic"
 
     wave = sim.benchmark_spec("wave")
     ens = sim.generate_ensemble(wave, 1e-4, 0.003, 2, base_seed=4)
@@ -611,6 +617,19 @@ def test_container_round_trip(tmp_path):
     back = sim.load_ensemble(path)
     assert np.array_equal(back.displacement, ens.displacement)
     assert np.array_equal(back.spatial_grid, wave.spatial.grid)
+
+
+def test_container_without_system_name_loads(tmp_path):
+    # Containers written before the header named the system.
+    path = tmp_path / "old.bin"
+    header = {"format": "ensemble-v1", "dt": 1e-3, "n_real": 1, "coords": 1,
+              "n_steps": 2, "spatial_grid": None}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(32))
+    assert sim.load_ensemble(path).system is None
+    header["system"] = 3
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(32))
+    with pytest.raises(ConfigError, match="malformed"):
+        sim.load_ensemble(path)
 
 
 def test_container_rejects_foreign_files(tmp_path):
