@@ -7,11 +7,11 @@ For every seed and each of the six benchmark systems this runs
 prediction comparison uses 2 realizations per side (the sweep is about
 discovery, and the prediction only has to run). Per run the table holds
 the status, the failing stage, the discovered Lagrangian and diffusion
-supports, whether each matches acceptance criterion 2
-(``tests/test_acceptance.py``) and the relative coefficient error. It
-holds no timings, so two checkouts that discover the same models write
-the same bytes: point ``PYTHONPATH`` at each ``src/`` and compare the
-files.
+supports, whether each matches acceptance criterion 2 (the tables of
+``tests/helpers.py`` that ``tests/test_acceptance.py`` checks) and the
+relative coefficient error. It holds no timings, so two checkouts that
+discover the same models write the same bytes: point ``PYTHONPATH`` at
+each ``src/`` and compare the files.
 """
 
 from __future__ import annotations
@@ -19,32 +19,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import pathlib
 import sys
 
 from lagdyn import bench, sim
 
-PREDICTION_N_REAL = 2
+# The criterion-2 tables live with the acceptance tests.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from helpers import CRITERION_2_DIFFUSION, CRITERION_2_SUPPORTS  # noqa: E402
 
-# Acceptance criterion 2: exact Lagrangian and diffusion supports.
-_PROBES = bench.FIELD_PROBE_NODES
-EXPECTED_SUPPORTS = {
-    "harmonic": [["X^2"]],
-    "pendulum": [["cos(X)"]],
-    "duffing": [["X^2", "X^4"]],
-    "3dof": [["(X2-X1)^2", "X1^2"],
-             ["(X2-X1)^2", "(X3-X2)^2"],
-             ["(X3-X2)^2"]],
-    "wave": [[f"ux{n}^2"] for n in _PROBES],
-    "beam": [[f"uxx{n}^2"] for n in _PROBES],
-}
-EXPECTED_DIFFUSION = {
-    "harmonic": [["X^2"]],
-    "pendulum": [["X^2"]],
-    "duffing": [["X^2"]],
-    "3dof": [["X1^2"], ["X2^2"], ["X3^2"]],
-    "wave": [[f"u{n}^2"] for n in _PROBES],
-    "beam": [[f"u{n}^2"] for n in _PROBES],
-}
+PREDICTION_N_REAL = 2
 
 
 def outcome(name: str, seed: int) -> dict:
@@ -63,9 +47,9 @@ def outcome(name: str, seed: int) -> dict:
     row.update(
         supports=found["supports"],
         diffusion_supports=found["diffusion_supports"],
-        supports_match=found["supports"] == EXPECTED_SUPPORTS[name],
+        supports_match=found["supports"] == CRITERION_2_SUPPORTS[name],
         diffusion_supports_match=(found["diffusion_supports"]
-                                  == EXPECTED_DIFFUSION[name]),
+                                  == CRITERION_2_DIFFUSION[name]),
         relative_pct=report.errors["relative_pct"],
     )
     return row

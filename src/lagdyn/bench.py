@@ -189,7 +189,7 @@ def discover_models(
     spec: sim.SystemSpec,
     config: BenchmarkConfig,
     libraries: tuple[list[library.CandidateLibrary],
-                     list[library.CandidateLibrary]] | None = None,
+                     list[library.CandidateLibrary]],
 ) -> tuple[discovery.LagrangianModel, discovery.DiffusionModel,
            discovery.EquationsOfMotion]:
     """Run the discovery pipeline on a training ensemble.
@@ -199,8 +199,7 @@ def discover_models(
         name: Benchmark name.
         spec: Benchmark system.
         config: Pipeline settings.
-        libraries: The discovery_libraries of (name, spec, config), when
-            the caller has built them already.
+        libraries: The discovery_libraries of (name, spec, config).
 
     Raises:
         ConfigError: if the ensemble's coordinates, grid or system name
@@ -220,7 +219,7 @@ def discover_models(
             f"ensemble was simulated for system '{ensemble.system}', "
             f"not '{name}'"
         )
-    libs, glibs = libraries or discovery_libraries(name, spec, config)
+    libs, glibs = libraries
     lag = discovery.discover_lagrangian(
         ensemble, libs, config.lambda_lagrangian,
         rcond=config.rcond_lagrangian,
@@ -776,8 +775,14 @@ def run_benchmark(
             runtime_s=time.perf_counter() - start,
         )
 
+    # Training records only the rows the libraries read, so the libraries
+    # are built first; a failure to build them is still a discovery one.
     try:
         libraries = discovery_libraries(name, spec, config)
+    except LagdynError as exc:
+        return fail("discover", exc)
+
+    try:
         ensemble = training_record(spec, config, libraries, seed)
     except LagdynError as exc:
         return fail("simulate", exc)

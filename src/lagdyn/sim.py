@@ -577,7 +577,8 @@ def _simulate(specs, dt: float, n_steps: int, n_real: int, noise, row_sets,
         noise: A base seed (realization k draws from
             derived_seed(base_seed, k)), one NoiseStream (n_real = 1), or
             a given (dW, dZ) pair of shape (n_real, n_steps, n_noise).
-        row_sets: State rows to record, one output array per set.
+        row_sets: State rows to record, one output array per set; together
+            non-empty and within the state.
         method: "auto", "taylor15" or "euler".
         summed: State rows to record as their sum over the batch.
 
@@ -587,9 +588,10 @@ def _simulate(specs, dt: float, n_steps: int, n_real: int, noise, row_sets,
 
     Raises:
         ValueError: for dt <= 0, fewer than 1 step or n_real < 1.
-        ConfigError: for an unknown method, systems of different layouts,
-            Taylor on a system that is not of kind "sde", a missing drift
-            Jacobian, or a field without acceleration or grid.
+        ConfigError: for an unknown method, no rows or a row outside the
+            state, systems of different layouts, Taylor on a system that
+            is not of kind "sde", a missing drift Jacobian, or a field
+            without acceleration or grid.
         StabilityError: when dt exceeds a field's stability limit.
         SimulationDivergedError: at the first step where any realization
             leaves BLOW_UP_BOUND; it names the failing batch rows and
@@ -604,6 +606,10 @@ def _simulate(specs, dt: float, n_steps: int, n_real: int, noise, row_sets,
     if method not in ("auto", "taylor15", "euler"):
         raise ConfigError(f"unknown integration method '{method}'")
     first = specs[0]
+    size = int(np.size(first.initial_state))
+    rows = [int(r) for row_set in row_sets for r in row_set]
+    if not rows or min(rows) < 0 or max(rows) >= size:
+        raise ConfigError(f"rows must be non-empty state indices in [0, {size})")
     layout = (first.kind, first.dim, first.spatial, np.size(first.initial_state))
     for spec in specs[1:]:
         if (spec.kind, spec.dim, spec.spatial, np.size(spec.initial_state)) != layout:
@@ -775,14 +781,8 @@ def simulate_rows(
         SimulationDivergedError: at the first step where any system leaves
             the bound; ``partial[0]`` holds the samples recorded before it.
     """
-    size = int(np.size(spec.initial_state))
-    rows = np.asarray(list(rows), dtype=int)
-    if rows.size == 0 or rows.min() < 0 or rows.max() >= size:
-        raise ConfigError(
-            f"rows must be non-empty state indices in [0, {size})"
-        )
     (out,) = _simulate((spec, *partners), dt, _window_steps(t_f, dt), n_real,
-                       base_seed, [rows])
+                       base_seed, [list(rows)])
     return out
 
 
@@ -894,8 +894,6 @@ def generate_ensemble(
                         displacement=disp, velocity=vel, spatial_grid=grid,
                         system=spec.name)
     rows = sorted({int(r) for r in rows})
-    if not rows or rows[0] < 0 or rows[-1] >= 2 * n:
-        raise ConfigError(f"rows must be non-empty state indices in [0, {2 * n})")
     disp_nodes = tuple(r for r in rows if r < n)
     vel_nodes = tuple(r - n for r in rows if r >= n)
     disp, vel, total = _simulate(

@@ -6,8 +6,29 @@ import dataclasses
 
 import numpy as np
 
-from lagdyn import sim
+from lagdyn import bench, sim
 from lagdyn.errors import SimulationDivergedError
+
+# Acceptance criterion 2: the exact Lagrangian and diffusion supports of
+# each benchmark at its default configuration.
+CRITERION_2_SUPPORTS = {
+    "harmonic": [["X^2"]],
+    "pendulum": [["cos(X)"]],
+    "duffing": [["X^2", "X^4"]],
+    "3dof": [["(X2-X1)^2", "X1^2"],
+             ["(X2-X1)^2", "(X3-X2)^2"],
+             ["(X3-X2)^2"]],
+    "wave": [[f"ux{n}^2"] for n in bench.FIELD_PROBE_NODES],
+    "beam": [[f"uxx{n}^2"] for n in bench.FIELD_PROBE_NODES],
+}
+CRITERION_2_DIFFUSION = {
+    "harmonic": [["X^2"]],
+    "pendulum": [["X^2"]],
+    "duffing": [["X^2"]],
+    "3dof": [["X1^2"], ["X2^2"], ["X3^2"]],
+    "wave": [[f"u{n}^2"] for n in bench.FIELD_PROBE_NODES],
+    "beam": [[f"u{n}^2"] for n in bench.FIELD_PROBE_NODES],
+}
 
 
 def fitted_order(steps, errors) -> float:

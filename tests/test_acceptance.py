@@ -22,15 +22,6 @@ pytestmark = pytest.mark.slow
 
 BENCHMARKS = ("harmonic", "pendulum", "duffing", "3dof", "wave", "beam")
 
-PROBE_SUPPORTS = {
-    "wave": [[f"ux{n}^2"] for n in bench.FIELD_PROBE_NODES],
-    "beam": [[f"uxx{n}^2"] for n in bench.FIELD_PROBE_NODES],
-}
-PROBE_DIFFUSION = {
-    name: [[f"u{n}^2"] for n in bench.FIELD_PROBE_NODES]
-    for name in ("wave", "beam")
-}
-
 
 @pytest.fixture(scope="module")
 def reports():
@@ -69,28 +60,11 @@ def test_criterion_1_benchmark_accuracy_and_parameters(reports):
 
 
 def test_criterion_2_exact_support_recovery(reports):
-    expected = {
-        "harmonic": [["X^2"]],
-        "pendulum": [["cos(X)"]],
-        "duffing": [["X^2", "X^4"]],
-        "3dof": [["(X2-X1)^2", "X1^2"],
-                 ["(X2-X1)^2", "(X3-X2)^2"],
-                 ["(X3-X2)^2"]],
-        "wave": PROBE_SUPPORTS["wave"],
-        "beam": PROBE_SUPPORTS["beam"],
-    }
-    expected_diffusion = {
-        "harmonic": [["X^2"]],
-        "pendulum": [["X^2"]],
-        "duffing": [["X^2"]],
-        "3dof": [["X1^2"], ["X2^2"], ["X3^2"]],
-        "wave": PROBE_DIFFUSION["wave"],
-        "beam": PROBE_DIFFUSION["beam"],
-    }
     for name in BENCHMARKS:
         section = reports[name].discovered_section
-        assert section["supports"] == expected[name], name
-        assert section["diffusion_supports"] == expected_diffusion[name], name
+        assert section["supports"] == helpers.CRITERION_2_SUPPORTS[name], name
+        assert (section["diffusion_supports"]
+                == helpers.CRITERION_2_DIFFUSION[name]), name
 
 
 def test_criterion_3_sparse_regression_matches_least_squares():

@@ -48,25 +48,28 @@ def test_training_protocol_overrides():
 
 
 def test_discover_models_rejects_foreign_ensemble():
+    def discover(ensemble, name):
+        spec = sim.benchmark_spec(name)
+        config = bench.DEFAULT_CONFIGS[name]
+        libraries = bench.discovery_libraries(name, spec, config)
+        return bench.discover_models(ensemble, name, spec, config, libraries)
+
     harmonic = sim.benchmark_spec("harmonic")
     ens = sim.generate_ensemble(harmonic, 1e-3, 0.01, 2, base_seed=1)
-    config = bench.DEFAULT_CONFIGS["harmonic"]
     gridded = dataclasses.replace(ens, spatial_grid=np.zeros(1))
     with pytest.raises(ConfigError, match="grid does not match"):
-        bench.discover_models(gridded, "harmonic", harmonic, config)
+        discover(gridded, "harmonic")
     with pytest.raises(ConfigError, match="has 1 coordinates, but system '3dof' has 3"):
-        bench.discover_models(ens, "3dof", sim.benchmark_spec("3dof"), config)
+        discover(ens, "3dof")
     wave = sim.benchmark_spec("wave")
     field = sim.generate_ensemble(wave, 1e-4, 1e-3, 2, base_seed=1)
     shifted = dataclasses.replace(field, spatial_grid=field.spatial_grid + 0.5)
     for foreign in (shifted, dataclasses.replace(field, spatial_grid=None)):
         with pytest.raises(ConfigError, match="grid does not match"):
-            bench.discover_models(foreign, "wave", wave,
-                                  bench.DEFAULT_CONFIGS["wave"])
+            discover(foreign, "wave")
     # Wave and beam share coordinates and grid; the system name differs.
     with pytest.raises(ConfigError, match="simulated for system 'wave'"):
-        bench.discover_models(field, "beam", sim.benchmark_spec("beam"),
-                              bench.DEFAULT_CONFIGS["beam"])
+        discover(field, "beam")
 
 
 def test_pooled_parameters_average_with_absent_zero():
@@ -344,6 +347,16 @@ def test_report_csv_schema(small_report, tmp_path):
 
 
 def test_run_benchmark_reports_stage_failure(tmp_path):
+    # Probe nodes off the free grid fail the library build, which runs
+    # before training but counts as discovery.
+    wave = bench.DEFAULT_CONFIGS["wave"]
+    off_grid = dataclasses.replace(wave, probe_nodes=(0, 50))
+    report = bench.run_benchmark("wave", off_grid)
+    assert report.failure["stage"] == "discover"
+    assert "probe nodes not on the free grid: [0]" in report.failure["message"]
+    unstable = dataclasses.replace(wave, dt=0.01)
+    assert bench.run_benchmark("wave", unstable).failure["stage"] == "simulate"
+
     config = dataclasses.replace(SMALL, lambda_lagrangian=1e9)
     report = bench.run_benchmark("harmonic", config)
     assert report.status == "failed"
