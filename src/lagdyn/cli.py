@@ -91,6 +91,8 @@ class RunConfig:
             raise ConfigError(
                 f"only must be a string or a list of strings, got {self.only!r}"
             )
+        if self.only == ():
+            raise ConfigError("only must name at least one benchmark")
         for name, kind, low, strict in _NUMERIC_RANGES:
             value = getattr(self, name)
             if value is None:

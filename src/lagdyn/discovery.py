@@ -26,7 +26,6 @@ from lagdyn.library import (
     basis_reads,
     el_transform,
     eval_basis,
-    split_kinetic,
 )
 from lagdyn.regression import stls
 from lagdyn.sim import Ensemble, TrainingRecord
@@ -82,16 +81,12 @@ class ParticleLagrangian:
     Attributes:
         target_coord: Coordinate index the density serves.
         kinetic_label: Label of the kinetic basis (coefficient exactly 1).
-        labels: Reduced library labels (kinetic excluded), regression order.
-        coefficients: Reduced coefficient vector C over ``labels``.
-        terms: Nonzero entries of ``coefficients`` as label -> value.
+        terms: Retained coefficients of C as label -> value.
         residual_norm: Two-norm of the sparse regression residual.
     """
 
     target_coord: int
     kinetic_label: str
-    labels: tuple[str, ...]
-    coefficients: np.ndarray
     terms: dict[str, float]
     residual_norm: float
 
@@ -104,13 +99,11 @@ class LagrangianModel:
         particles: Per-coordinate densities, one per input library.
         registry: Basis descriptors by label for every candidate seen.
         lambda_used: Sparsity threshold used.
-        stencil: Momentum time stencil used by the feature transform.
     """
 
     particles: tuple[ParticleLagrangian, ...]
     registry: dict[str, BasisDescriptor]
     lambda_used: float
-    stencil: str
 
     @property
     def total(self) -> dict[str, float]:
@@ -145,7 +138,8 @@ class LagrangianModel:
     def to_json(self) -> str:
         payload = {
             "lambda": self.lambda_used,
-            "stencil": self.stencil,
+            # The momentum time stencil of the feature transform.
+            "stencil": "forward",
             "particles": [
                 {
                     "target_coord": p.target_coord,
@@ -175,18 +169,13 @@ class LagrangianModel:
                 registry[basis.label] = basis
             if lib.kinetic_index is None:
                 raise ConfigError("Lagrangian libraries need a kinetic basis")
-            labels = tuple(
-                s for j, s in enumerate(lib.labels) if j != lib.kinetic_index
-            )
-            unknown = set(terms) - set(labels)
+            kinetic_label = lib.bases[lib.kinetic_index].label
+            unknown = set(terms) - (set(lib.labels) - {kinetic_label})
             if unknown:
                 raise ConfigError(f"labels not in the library: {sorted(unknown)}")
-            coeffs = np.array([terms.get(s, 0.0) for s in labels])
             particles.append(ParticleLagrangian(
                 target_coord=lib.target_coord,
-                kinetic_label=lib.bases[lib.kinetic_index].label,
-                labels=labels,
-                coefficients=coeffs,
+                kinetic_label=kinetic_label,
                 terms={s: float(c) for s, c in terms.items()},
                 residual_norm=0.0,
             ))
@@ -194,7 +183,6 @@ class LagrangianModel:
             particles=tuple(particles),
             registry=registry,
             lambda_used=0.0,
-            stencil="forward",
         )
 
 
@@ -238,8 +226,7 @@ def discover_lagrangian(
     for lib in libraries:
         for basis in lib.bases:
             registry[basis.label] = basis
-        fm = el_transform(lib, ensemble, stencil="forward")
-        label, features, names = split_kinetic(fm, lib)
+        label, features, names = el_transform(lib, ensemble)
         model = stls(features, -label, lam, standardize=False, rcond=rcond)
         if not model.active_set:
             raise RegressionError(
@@ -253,8 +240,6 @@ def discover_lagrangian(
         particles.append(ParticleLagrangian(
             target_coord=lib.target_coord,
             kinetic_label=lib.bases[lib.kinetic_index].label,
-            labels=names,
-            coefficients=model.coefficients,
             terms=terms,
             residual_norm=model.residual_norm,
         ))
@@ -262,7 +247,6 @@ def discover_lagrangian(
         particles=tuple(particles),
         registry=registry,
         lambda_used=lam,
-        stencil="forward",
     )
 
 
@@ -298,7 +282,6 @@ class DiffusionModel:
 
     Attributes:
         equations: Per-coordinate results, aligned with the Lagrangian.
-        labels: Diffusion library labels (shared across equations).
         lambda_used: Sparsity threshold used.
         all_zero: True when no equation retained any candidate (the
             expected outcome on noiseless data).
@@ -306,7 +289,6 @@ class DiffusionModel:
     """
 
     equations: tuple[DiffusionEquation, ...]
-    labels: tuple[str, ...]
     lambda_used: float
     all_zero: bool
     notes: tuple[str, ...]
@@ -556,7 +538,6 @@ def discover_diffusion(
     all_zero = all(not eq.active_labels for eq in equations)
     return DiffusionModel(
         equations=tuple(equations),
-        labels=diff_library[0].labels,
         lambda_used=lam,
         all_zero=all_zero,
         notes=tuple(notes),

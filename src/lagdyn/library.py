@@ -12,17 +12,17 @@ Euler-Lagrange image of a whole library can be assembled over an ensemble:
 
 averaged over realizations. For spatial-derivative monomials the position
 derivative is the discrete variational derivative of the node-summed
-density, attributed to the same-node basis column (cross-node columns are
-zero); the gradient family uses forward differences and the curvature
+density, attributed to the same-node basis (cross-node bases have a zero
+image); the gradient family uses forward differences and the curvature
 family central second differences, so the variational images reproduce the
 narrow [1,-2,1]/dx^2 and [1,-4,6,-4,1]/dx^4 operators exactly at interior
-nodes. Accumulation order over realizations is fixed, so results are
+nodes. Only bases whose image at the target can be nonzero are assembled.
+Accumulation order over realizations is fixed, so results are
 bit-reproducible.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -118,29 +118,6 @@ class CandidateLibrary:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(b.label for b in self.bases)
-
-
-@dataclass
-class ElFeatureMatrix:
-    """Ensemble-expected Euler-Lagrange images of a library.
-
-    Attributes:
-        values: Array (N_t, m); column j is E[EL_target(basis_j)].
-        labels: Column labels, length m.
-        target_coord: Coordinate the EL operator was taken at.
-        kinetic_index: Column of the kinetic basis (None for none).
-        dt: Sampling step of the underlying ensemble.
-    """
-
-    values: np.ndarray
-    labels: tuple[str, ...]
-    target_coord: int
-    kinetic_index: int | None
-    dt: float
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.labels):
-            raise ConfigError("feature matrix shape does not match labels")
 
 
 # ---------------------------------------------------------------------------
@@ -410,89 +387,75 @@ def basis_reads(
 # Euler-Lagrange feature assembly
 # ---------------------------------------------------------------------------
 
-_STENCILS = {
-    "central": numdiff.central_first_derivative,
-    "forward": numdiff.forward_first_derivative,
-}
+def _live_bases(lib: CandidateLibrary, n: int) -> list[int]:
+    """Bases whose partials at the target are not both identically zero.
+
+    basis_partials decides None from the descriptor and the target alone,
+    so zero samples answer for every ensemble of n coordinates. The other
+    bases have an exactly zero Euler-Lagrange column.
+    """
+    return [
+        j for j, basis in enumerate(lib.bases)
+        if any(p is not None for p in basis_partials(
+            basis, _ReadLog(n), _ReadLog(n), 1.0, lib.target_coord))
+    ]
 
 
 def el_transform(
     lib: CandidateLibrary,
     ensemble: Ensemble | TrainingRecord,
-    stencil: str = "central",
-) -> ElFeatureMatrix:
-    """Assemble E[d/dt dD/dv_i - dD/du_i] for every basis in a library.
-
-    The momentum derivative is differentiated in time per realization
-    (with the chosen stencil) before averaging; the position derivative is
-    averaged directly. Bases that do not involve the target coordinate
-    produce exact zero columns.
-
-    Args:
-        lib: Candidate library with its target coordinate.
-        ensemble: Simulation data: a full Ensemble, or a TrainingRecord
-            holding the rows of training_rows (see discovery).
-        stencil: "central" (default) or "forward" momentum time stencil.
-
-    Returns:
-        ElFeatureMatrix of shape (N_t, m).
-    """
-    if stencil not in _STENCILS:
-        raise ConfigError(f"unknown momentum stencil '{stencil}'")
-    derivative = _STENCILS[stencil]
-    dx = None
-    if ensemble.spatial_grid is not None:
-        dx = float(ensemble.spatial_grid[1] - ensemble.spatial_grid[0])
-
-    n_t = ensemble.n_steps
-    m = lib.size
-    sums = np.zeros((m, n_t))
-    for k in range(ensemble.n_real):
-        u, v = ensemble.realization(k)
-        for j, basis in enumerate(lib.bases):
-            pu, pv = basis_partials(basis, u, v, dx, lib.target_coord)
-            if pv is not None:
-                sums[j] += derivative(pv, ensemble.dt)
-            if pu is not None:
-                sums[j] -= pu
-    sums /= ensemble.n_real
-    values = sums.T
-    bad = ~np.all(np.isfinite(values), axis=0)
-    if bad.any():
-        label = lib.bases[int(np.flatnonzero(bad)[0])].label
-        raise RegressionError(
-            f"non-finite Euler-Lagrange column for basis '{label}'"
-        )
-    return ElFeatureMatrix(
-        values=values,
-        labels=lib.labels,
-        target_coord=lib.target_coord,
-        kinetic_index=lib.kinetic_index,
-        dt=ensemble.dt,
-    )
-
-
-def split_kinetic(
-    fm: ElFeatureMatrix, lib: CandidateLibrary
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Separate the kinetic column (regression label) from the features.
+    """Assemble E[d/dt dD/dv_i - dD/du_i] for the bases that read the target.
+
+    The momentum derivative is forward-differenced in time per realization
+    before averaging; the position derivative is averaged directly. Bases
+    whose partials at the target are identically zero are not assembled.
 
     The discovered coefficients C satisfy label = -features @ C: the
     Euler-Lagrange image of the full Lagrangian (unit kinetic coefficient
     plus C on the rest) vanishes, so the kinetic column moves across the
     equality with a sign flip.
 
+    Args:
+        lib: Candidate Lagrangian library with its target coordinate.
+        ensemble: Simulation data: a full Ensemble, or a TrainingRecord
+            holding the rows of training_rows (see discovery).
+
     Returns:
         (label, features, feature_labels): label is the kinetic basis
-        column (N_t,), features the remaining columns (N_t, m-1).
+        column (N_t,), features the other assembled columns (N_t, p) in
+        library order, feature_labels their basis labels.
     """
-    if lib.kinetic_index is None or fm.kinetic_index != lib.kinetic_index:
-        raise ConfigError("feature matrix and library kinetic columns disagree")
-    idx = lib.kinetic_index
-    label = fm.values[:, idx].copy()
-    features = np.delete(fm.values, idx, axis=1)
-    labels = tuple(s for j, s in enumerate(fm.labels) if j != idx)
-    return label, features, labels
+    if lib.kinetic_index is None:
+        raise ConfigError("Euler-Lagrange features need a kinetic basis")
+    dx = None
+    if ensemble.spatial_grid is not None:
+        dx = float(ensemble.spatial_grid[1] - ensemble.spatial_grid[0])
+
+    live = _live_bases(lib, ensemble.coords)
+    sums = np.zeros((len(live), ensemble.n_steps))
+    for k in range(ensemble.n_real):
+        u, v = ensemble.realization(k)
+        for row, j in enumerate(live):
+            pu, pv = basis_partials(lib.bases[j], u, v, dx, lib.target_coord)
+            if pv is not None:
+                sums[row] += numdiff.forward_first_derivative(pv, ensemble.dt)
+            if pu is not None:
+                sums[row] -= pu
+    sums /= ensemble.n_real
+    bad = ~np.all(np.isfinite(sums), axis=1)
+    if bad.any():
+        label = lib.bases[live[int(np.flatnonzero(bad)[0])]].label
+        raise RegressionError(
+            f"non-finite Euler-Lagrange column for basis '{label}'"
+        )
+    kinetic = live.index(lib.kinetic_index)
+    rest = [row for row in range(len(live)) if row != kinetic]
+    return (
+        sums[kinetic],
+        sums[rest].T,
+        tuple(lib.bases[live[row]].label for row in rest),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -807,32 +770,3 @@ def build_diffusion_library(kind: str, coords: int) -> list[CandidateLibrary]:
         CandidateLibrary(bases=frozen, target_coord=i, kinetic_index=None)
         for i in targets
     ]
-
-
-# ---------------------------------------------------------------------------
-# Composition dump
-# ---------------------------------------------------------------------------
-
-
-def library_to_json(lib: CandidateLibrary) -> str:
-    """Serialize a library's full composition for run audit trails."""
-    payload = {
-        "target_coord": lib.target_coord,
-        "kinetic_index": lib.kinetic_index,
-        "size": lib.size,
-        "bases": [
-            {
-                "label": b.label,
-                "form": b.form,
-                "coords": list(b.coords),
-                "degree": b.degree,
-                "trig": b.trig,
-                "frequency": b.frequency,
-                "on_velocity": b.on_velocity,
-                "velocity_mask": list(b.velocity_mask),
-                "derivative_order": b.derivative_order,
-            }
-            for b in lib.bases
-        ],
-    }
-    return json.dumps(payload, sort_keys=True)

@@ -158,8 +158,10 @@ class Ensemble:
         shape = (self.n_real, self.coords, self.n_steps)
         if self.displacement.shape != shape or self.velocity.shape != shape:
             raise ValueError(f"ensemble arrays must have shape {shape}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        if self.n_real < 1:
+            raise ValueError("an ensemble needs at least 1 realization")
         if self.n_steps < 2:
             raise ValueError("an ensemble needs at least 2 samples per realization")
         if not np.all(np.isfinite(self.displacement)) or not np.all(

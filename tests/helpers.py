@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 
-from lagdyn import bench, sim
+from lagdyn import bench, library, numdiff, sim
 from lagdyn.errors import SimulationDivergedError
 
 # Acceptance criterion 2: the exact Lagrangian and diffusion supports of
@@ -378,3 +378,30 @@ def reference_prediction(true_spec, pred_spec, dt, n_steps, n_real,
             "times": np.arange(length) * dt,
             "truth_mean": truth_mean, "pred_mean": pred_mean,
             "truth_2sigma": truth_2s, "pred_2sigma": pred_2s}
+
+
+def dense_el_features(lib, ensemble) -> tuple[np.ndarray, list[int]]:
+    """Forward-stencil Euler-Lagrange column of every basis, (N_t, m).
+
+    The dense loop over the whole library, kept as the reference for
+    library.el_transform: it also fills the exactly zero columns of bases
+    whose partials at the target are identically zero. Returns the columns
+    and the indices of the bases with a partial on the data.
+    """
+    dx = None
+    if ensemble.spatial_grid is not None:
+        dx = float(ensemble.spatial_grid[1] - ensemble.spatial_grid[0])
+    sums = np.zeros((lib.size, ensemble.n_steps))
+    live = set()
+    for k in range(ensemble.n_real):
+        u, v = ensemble.realization(k)
+        for j, basis in enumerate(lib.bases):
+            pu, pv = library.basis_partials(basis, u, v, dx, lib.target_coord)
+            if pv is not None:
+                sums[j] += numdiff.forward_first_derivative(pv, ensemble.dt)
+                live.add(j)
+            if pu is not None:
+                sums[j] -= pu
+                live.add(j)
+    sums /= ensemble.n_real
+    return sums.T, sorted(live)

@@ -119,13 +119,16 @@ def _truncated_container(tmp_path):
     return ["discover", "--system", "harmonic", "--ensemble", str(path)]
 
 
-def _one_sample_container(tmp_path):
-    # A well-formed container holding a single time sample per realization.
-    path = tmp_path / "short.bin"
-    header = {"format": "ensemble-v1", "dt": 1e-4, "n_real": 2, "coords": 1,
-              "n_steps": 1, "spatial_grid": None}
-    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(32))
-    return ["discover", "--system", "harmonic", "--ensemble", str(path)]
+def _container(dt=1e-4, n_real=2, n_steps=1):
+    """A well-formed harmonic container of zeros with the given header."""
+    def build(tmp_path):
+        path = tmp_path / "made.bin"
+        header = {"format": "ensemble-v1", "dt": dt, "n_real": n_real,
+                  "coords": 1, "n_steps": n_steps, "spatial_grid": None}
+        path.write_bytes(json.dumps(header).encode() + b"\n"
+                         + bytes(16 * n_real * n_steps))
+        return ["discover", "--system", "harmonic", "--ensemble", str(path)]
+    return build
 
 
 def _foreign_container(system, written_for):
@@ -150,8 +153,14 @@ BAD_INPUTS = [
                  2, "shorter than one step", id="discover-window-below-one-step"),
     pytest.param(_flags("bench", "--only", "wave", "--t-f", "0.00001"),
                  2, "shorter than one step", id="bench-window-below-one-step"),
-    pytest.param(_one_sample_container, 2, "at least 2 samples",
+    pytest.param(_container(n_steps=1), 2, "at least 2 samples",
                  id="one-sample-ensemble"),
+    pytest.param(_container(n_real=0, n_steps=5), 2, "at least 1 realization",
+                 id="no-realization-ensemble"),
+    pytest.param(_container(dt=float("nan"), n_steps=5), 2,
+                 "dt must be finite and positive", id="nan-dt-ensemble"),
+    pytest.param(_container(dt=float("inf"), n_steps=5), 2,
+                 "dt must be finite and positive", id="infinite-dt-ensemble"),
     pytest.param(_config_file({"lambda_lagrangian": "abc"}), 2,
                  "lambda_lagrangian must be a number",
                  id="string-lambda-in-config"),
@@ -164,6 +173,11 @@ BAD_INPUTS = [
     pytest.param(_flags("discover", "--system", "harmonic", *FAST,
                         "--rcond-diffusion", "inf"),
                  2, "rcond_diffusion must be", id="infinite-rcond-flag"),
+    pytest.param(_flags("bench", "--only", ","), 2,
+                 "only must name at least one benchmark", id="empty-only-flag"),
+    pytest.param(_config_file({"only": []}, "bench"), 2,
+                 "only must name at least one benchmark",
+                 id="empty-only-list-in-config"),
     pytest.param(_config_file({"only": 5}, "bench"), 2,
                  "only must be a string or a list of strings",
                  id="number-only-in-config"),

@@ -1,11 +1,10 @@
 """Tests for candidate libraries and Euler-Lagrange feature assembly."""
 
-import json
-
 import numpy as np
 import pytest
 
 import helpers
+from lagdyn import bench, discovery
 from lagdyn import library as lb
 from lagdyn import sim
 from lagdyn.errors import ConfigError, RegressionError
@@ -358,37 +357,47 @@ def quiet_harmonic():
     return sim.generate_ensemble(spec, dt=1e-3, t_f=0.5, n_real=3, base_seed=5)
 
 
+def _columns(lib, ens):
+    """Assembled Euler-Lagrange columns by basis label, kinetic included."""
+    label, features, names = lb.el_transform(lib, ens)
+    columns = dict(zip(names, features.T))
+    columns[lib.bases[lib.kinetic_index].label] = label
+    return columns
+
+
 def test_el_kinetic_reproduces_acceleration(quiet_harmonic):
+    # Noiseless Taylor 1.5 steps v by dt * (-1000 x - 500 dt v), so the
+    # forward difference of the momentum is exactly that on rows
+    # 0..N_t-2 (the last row repeats the backward difference).
     lib = lb.build_lagrangian_library("harmonic", 1)[0]
-    fm = lb.el_transform(lib, quiet_harmonic)
-    col = fm.values[:, lib.kinetic_index]
-    expected = -1000.0 * quiet_harmonic.displacement.mean(axis=0)[0]
-    assert np.linalg.norm(col - expected) <= 1e-3 * np.linalg.norm(expected)
+    label, _, _ = lb.el_transform(lib, quiet_harmonic)
+    mean_x = quiet_harmonic.displacement.mean(axis=0)[0]
+    mean_v = quiet_harmonic.velocity.mean(axis=0)[0]
+    expected = (-1000.0 * mean_x - 500.0 * quiet_harmonic.dt * mean_v)[:-1]
+    assert np.linalg.norm(label[:-1] - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_el_monomial_columns_are_exact_expectations(quiet_harmonic):
     lib = lb.build_lagrangian_library("harmonic", 1)[0]
-    fm = lb.el_transform(lib, quiet_harmonic)
+    columns = _columns(lib, quiet_harmonic)
     mean_x = quiet_harmonic.displacement.mean(axis=0)[0]
-    col_sq = fm.values[:, lib.labels.index("X^2")]
+    col_sq = columns["X^2"]
     assert np.allclose(col_sq, -2.0 * mean_x, rtol=1e-12, atol=1e-14)
-    col_lin = fm.values[:, lib.labels.index("X")]
+    col_lin = columns["X"]
     assert np.allclose(col_lin, -1.0, rtol=0, atol=1e-12)
-    col_const = fm.values[:, lib.labels.index("1")]
-    assert np.all(col_const == 0.0)
+    # The constant's image is identically zero, so it gets no column.
+    assert "1" not in columns
 
 
 def test_el_expectation_linearity(quiet_harmonic):
     lib = lb.build_lagrangian_library("harmonic", 1)[0]
-    fm = lb.el_transform(lib, quiet_harmonic)
-    i1 = lib.labels.index("X")
-    i2 = lib.labels.index("X^2")
+    columns = _columns(lib, quiet_harmonic)
     combined = np.zeros(quiet_harmonic.n_steps)
     for k in range(quiet_harmonic.n_real):
         u = quiet_harmonic.displacement[k, 0]
         combined += -(1.0 + 2.0 * u)  # EL image of the density X + X^2
     combined /= quiet_harmonic.n_real
-    total = fm.values[:, i1] + fm.values[:, i2]
+    total = columns["X"] + columns["X^2"]
     assert np.allclose(total, combined, rtol=1e-12, atol=1e-13)
 
 
@@ -396,21 +405,14 @@ def test_el_transform_is_deterministic(quiet_harmonic):
     lib = lb.build_lagrangian_library("harmonic", 1)[0]
     a = lb.el_transform(lib, quiet_harmonic)
     b = lb.el_transform(lib, quiet_harmonic)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert a[2] == b[2]
 
 
-def test_el_transform_stencil_option(quiet_harmonic):
-    lib = lb.build_lagrangian_library("harmonic", 1)[0]
-    central = lb.el_transform(lib, quiet_harmonic, stencil="central")
-    forward = lb.el_transform(lib, quiet_harmonic, stencil="forward")
-    k = lib.kinetic_index
-    assert not np.array_equal(central.values[:, k], forward.values[:, k])
-    expected = -1000.0 * quiet_harmonic.displacement.mean(axis=0)[0]
-    # The forward stencil is first order: close, but visibly less accurate.
-    rel = np.linalg.norm(forward.values[:, k] - expected) / np.linalg.norm(expected)
-    assert 1e-4 < rel < 2e-2
-    with pytest.raises(ConfigError):
-        lb.el_transform(lib, quiet_harmonic, stencil="sideways")
+def test_el_transform_needs_a_kinetic_basis(quiet_harmonic):
+    diffusion = lb.build_diffusion_library("harmonic", 1)[0]
+    with pytest.raises(ConfigError, match="kinetic"):
+        lb.el_transform(diffusion, quiet_harmonic)
 
 
 def test_el_transform_flags_non_finite_column(quiet_harmonic):
@@ -433,21 +435,60 @@ def test_el_cross_coordinate_difference_terms():
     ens = sim.generate_ensemble(spec, dt=1e-3, t_f=0.2, n_real=2, base_seed=9)
     libs = lb.build_lagrangian_library("3dof", 3)
     mean_u = ens.displacement.mean(axis=0)
+    mean_v = ens.velocity.mean(axis=0)
     diff21 = mean_u[1] - mean_u[0]
-    fm0 = lb.el_transform(libs[0], ens)
-    fm1 = lb.el_transform(libs[1], ens)
-    fm2 = lb.el_transform(libs[2], ens)
-    j = libs[0].labels.index("(X2-X1)^2")
-    assert np.allclose(fm0.values[:, j], 2.0 * diff21, rtol=1e-12, atol=1e-12)
-    assert np.allclose(fm1.values[:, j], -2.0 * diff21, rtol=1e-12, atol=1e-12)
-    assert np.all(fm2.values[:, j] == 0.0)
-    # Kinetic columns reproduce each particle's acceleration.
+    cols0, cols1, cols2 = (_columns(lib, ens) for lib in libs)
+    label = "(X2-X1)^2"
+    assert np.allclose(cols0[label], 2.0 * diff21, rtol=1e-12, atol=1e-12)
+    assert np.allclose(cols1[label], -2.0 * diff21, rtol=1e-12, atol=1e-12)
+    assert label not in cols2
+    # Kinetic columns reproduce each particle's noiseless Taylor 1.5 step:
+    # forward-differenced, the velocity update of the linear chain is
+    # -K (x + dt v / 2) on rows 0..N_t-2.
     stiff = 1000.0 * np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
                                [0.0, -1.0, 1.0]])
-    accel = -np.einsum("ij,jt->it", stiff, mean_u)
-    for i, fm in enumerate((fm0, fm1, fm2)):
-        col = fm.values[:, libs[i].kinetic_index]
-        assert np.linalg.norm(col - accel[i]) <= 1e-3 * np.linalg.norm(accel[i])
+    accel = -stiff @ (mean_u + 0.5 * ens.dt * mean_v)
+    for i, cols in enumerate((cols0, cols1, cols2)):
+        col = cols[libs[i].bases[libs[i].kinetic_index].label][:-1]
+        expected = accel[i, :-1]
+        assert np.linalg.norm(col - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("name, n_real, t_f", [
+    ("wave", 3, 0.02), ("beam", 2, 0.02), ("3dof", 3, 0.01),
+    ("pendulum", 3, 0.05),
+])
+def test_el_features_are_the_live_dense_columns(name, n_real, t_f):
+    # Every probe (fields) or coordinate (discrete systems): the assembled
+    # columns are bitwise the dense reference's nonzero-capable columns in
+    # library order, every column left out is exactly zero, and the
+    # sparse regression keeps the same terms with the same coefficients.
+    spec = sim.benchmark_spec(name)
+    config = bench.DEFAULT_CONFIGS[name]
+    dt = bench.training_protocol(spec, config)[0]
+    ens = sim.generate_ensemble(spec, dt, t_f, n_real, base_seed=17)
+    libs, _ = bench.discovery_libraries(name, spec, config)
+    for lib in libs:
+        label, features, names = lb.el_transform(lib, ens)
+        dense, live = helpers.dense_el_features(lib, ens)
+        kinetic = lib.kinetic_index
+        kept = [j for j in live if j != kinetic]
+        assert names == tuple(lib.labels[j] for j in kept)
+        assert label.tobytes() == dense[:, kinetic].tobytes()
+        assert features.tobytes() == dense[:, kept].tobytes()
+        dropped = sorted(set(range(lib.size)) - set(kept) - {kinetic})
+        assert np.all(dense[:, dropped] == 0.0)
+        rest = [j for j in range(lib.size) if j != kinetic]
+        for lam in (config.lambda_lagrangian, 0.0):
+            model = discovery.stls(features, -label, lam, standardize=False,
+                                   rcond=config.rcond_lagrangian)
+            reference = discovery.stls(np.delete(dense, kinetic, axis=1),
+                                       -label, lam, standardize=False,
+                                       rcond=config.rcond_lagrangian)
+            assert [names[j] for j in model.active_set] == [
+                lib.labels[rest[j]] for j in reference.active_set]
+            assert (model.coefficients[model.active_set].tobytes()
+                    == reference.coefficients[reference.active_set].tobytes())
 
 
 def _synthetic_field_ensemble(seed, n=101, n_steps=5, n_real=2):
@@ -473,14 +514,15 @@ def test_el_wave_gradient_column_matches_narrow_laplacian():
     dx = 0.01
     libs = lb.build_lagrangian_library("wave", 101)
     lib = next(l for l in libs if l.target_coord == 50)
-    fm = lb.el_transform(lib, ens)
+    columns = _columns(lib, ens)
     mean_u = ens.displacement.mean(axis=0)
     lap50 = (mean_u[51] - 2.0 * mean_u[50] + mean_u[49]) / dx**2
-    col = fm.values[:, lib.labels.index("ux50^2")]
+    col = columns["ux50^2"]
     assert np.allclose(col, 2.0 * lap50, rtol=1e-10, atol=1e-8)
-    # Off-target spatial columns are attributed to their own node only.
-    assert np.all(fm.values[:, lib.labels.index("ux49^2")] == 0.0)
-    assert np.all(fm.values[:, lib.labels.index("u49^2")] == 0.0)
+    # Off-target spatial terms are attributed to their own node only, so
+    # they get no column at this target.
+    assert "ux49^2" not in columns
+    assert "u49^2" not in columns
 
 
 def test_el_beam_curvature_column_matches_biharmonic():
@@ -488,7 +530,7 @@ def test_el_beam_curvature_column_matches_biharmonic():
     dx = 0.01
     libs = lb.build_lagrangian_library("beam", 101)
     lib = next(l for l in libs if l.target_coord == 50)
-    fm = lb.el_transform(lib, ens)
+    columns = _columns(lib, ens)
     mean_u = ens.displacement.mean(axis=0)
     d4 = (
         mean_u[48] - 4.0 * mean_u[49] + 6.0 * mean_u[50] - 4.0 * mean_u[51]
@@ -496,33 +538,9 @@ def test_el_beam_curvature_column_matches_biharmonic():
     ) / dx**4
     # The curvature density enters the potential with a positive raw
     # derivative, so its Euler-Lagrange column is -2 times the biharmonic.
-    col = fm.values[:, lib.labels.index("uxx50^2")]
+    col = columns["uxx50^2"]
     assert np.allclose(col, -2.0 * d4, rtol=1e-10, atol=1e-6)
     lap50 = (mean_u[51] - 2.0 * mean_u[50] + mean_u[49]) / dx**2
-    col_grad = fm.values[:, lib.labels.index("ux50^2")]
+    col_grad = columns["ux50^2"]
     assert np.allclose(col_grad, 2.0 * lap50, rtol=1e-10, atol=1e-8)
-    assert np.all(fm.values[:, lib.labels.index("uxx49^2")] == 0.0)
-
-
-def test_split_kinetic(quiet_harmonic):
-    lib = lb.build_lagrangian_library("harmonic", 1)[0]
-    fm = lb.el_transform(lib, quiet_harmonic)
-    label, features, names = lb.split_kinetic(fm, lib)
-    assert label.shape == (quiet_harmonic.n_steps,)
-    assert features.shape == (quiet_harmonic.n_steps, 24)
-    assert np.array_equal(label, fm.values[:, lib.kinetic_index])
-    assert "0.5*Xd^2" not in names
-    assert len(names) == 24
-    diffusion = lb.build_diffusion_library("harmonic", 1)[0]
-    with pytest.raises(ConfigError):
-        lb.split_kinetic(fm, diffusion)
-
-
-def test_library_json_dump():
-    lib = lb.build_lagrangian_library("harmonic", 1)[0]
-    dump = lb.library_to_json(lib)
-    assert dump == lb.library_to_json(lib)
-    payload = json.loads(dump)
-    assert payload["size"] == 25
-    assert [b["label"] for b in payload["bases"]] == list(lib.labels)
-    assert payload["kinetic_index"] == lib.kinetic_index
+    assert "uxx49^2" not in columns
