@@ -227,7 +227,7 @@ def discover_lagrangian(
         for basis in lib.bases:
             registry[basis.label] = basis
         label, features, names = el_transform(lib, ensemble)
-        model = stls(features, -label, lam, standardize=False, rcond=rcond)
+        model = stls(features, -label, lam, rcond=rcond)
         if not model.active_set:
             raise RegressionError(
                 f"empty discovered support for coordinate {lib.target_coord}: "
@@ -424,11 +424,12 @@ def discover_diffusion(
     The regression target for each coordinate is dt times the ensemble
     second moment of the per-realization residual of the discovered
     Lagrangian, a discrete surrogate for the small-step limit. Feature
-    columns: a squared displacement monomial of the target coordinate is
-    the image of a linear Wiener potential, a constant 1; squared
-    monomials of other coordinates contribute nothing (zero column); every
-    other candidate enters by its literal ensemble expectation and is not
-    square-rootable, so retaining one raises an unsupported-form error.
+    columns, in library order: a squared displacement monomial of the
+    target coordinate is the image of a linear Wiener potential, a
+    constant 1; squared monomials of other coordinates contribute nothing
+    and are left out; every other candidate enters by its literal ensemble
+    expectation and is not square-rootable, so retaining one raises an
+    unsupported-form error.
 
     Args:
         ensemble: The training data the Lagrangian was discovered from.
@@ -458,27 +459,29 @@ def discover_diffusion(
         dx = float(ensemble.spatial_grid[1] - ensemble.spatial_grid[0])
     rows = ensemble.n_steps - 1
 
-    # Literal expectation columns are shared whenever libraries share bases.
-    literal_cache: dict[int, np.ndarray] = {}
+    # Literal expectation columns, one block per basis tuple: libraries
+    # share them whenever they share bases.
+    literal_cache: dict[tuple[BasisDescriptor, ...], np.ndarray] = {}
 
     def literal_means(bases: tuple[BasisDescriptor, ...]) -> np.ndarray:
-        key = id(bases)
-        if key not in literal_cache:
-            acc = np.zeros((rows, len(bases)))
-            plain = [j for j, b in enumerate(bases) if _is_displacement(b)]
+        """Mean of every non-square basis, (rows, count) in library order."""
+        if bases not in literal_cache:
+            literal = [b for b in bases if not _is_square_of(b)]
+            acc = np.zeros((rows, len(literal)))
+            plain = [j for j, b in enumerate(literal) if _is_displacement(b)]
             if plain:
                 total = ensemble.displacement_sum()
                 for j in plain:
-                    acc[:, j] = total[bases[j].coords[0], :rows]
-            others = [j for j, b in enumerate(bases)
-                      if not (_is_square_of(b) or _is_displacement(b))]
+                    acc[:, j] = total[literal[j].coords[0], :rows]
+            others = [j for j, b in enumerate(literal)
+                      if not _is_displacement(b)]
             for k in range(ensemble.n_real):
                 u, v = ensemble.realization(k)
                 for j in others:
-                    acc[:, j] += eval_basis(bases[j], u, v, dx=dx)[:rows]
+                    acc[:, j] += eval_basis(literal[j], u, v, dx=dx)[:rows]
             acc /= ensemble.n_real
-            literal_cache[key] = acc
-        return literal_cache[key]
+            literal_cache[bases] = acc
+        return literal_cache[bases]
 
     equations = []
     notes: list[str] = []
@@ -491,19 +494,20 @@ def discover_diffusion(
             target += res * res
         target *= dt / ensemble.n_real
 
-        features = literal_means(lib.bases).copy()
-        for j, basis in enumerate(lib.bases):
-            if _is_square_of(basis):
-                features[:, j] = 1.0 if basis.coords == (tc,) else 0.0
-        model = stls(features, target, lam, standardize=False, rcond=rcond)
+        # The target's own square is the constant column; squares of other
+        # coordinates are left out.
+        kept = [b for b in lib.bases
+                if _is_square_of(b, tc) or not _is_square_of(b)]
+        literal = iter(literal_means(lib.bases).T)
+        features = np.column_stack([
+            np.ones(rows) if _is_square_of(b) else next(literal) for b in kept
+        ])
+        model = stls(features, target, lam, rcond=rcond)
 
         beta = 0.0
-        retained = [lib.bases[j].label for j in model.active_set]
-        bad = [
-            lib.bases[j].label
-            for j in model.active_set
-            if not _is_square_of(lib.bases[j], tc)
-        ]
+        retained = [kept[j].label for j in model.active_set]
+        bad = [kept[j].label for j in model.active_set
+               if not _is_square_of(kept[j])]
         if bad:
             raise UnsupportedFormError(
                 "diffusion regression retained terms without a closed-form "

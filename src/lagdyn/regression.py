@@ -2,12 +2,9 @@
 
 The sparse solver iterates {fit on active columns, zero small coefficients}
 until the active set stops changing, then refits once on the converged
-support. By default columns are standardized to unit root-mean-square
-internally so a single threshold is meaningful across libraries whose
-columns span many orders of magnitude; reported coefficients are in the
-original scale. Standardization can be switched off to threshold in the
-reported units instead, which is the right choice when the threshold
-encodes a physically meaningful coefficient size.
+support. It solves on the raw columns and thresholds coefficients in the
+units they are reported in, so the threshold encodes a physically
+meaningful coefficient size.
 """
 
 from __future__ import annotations
@@ -17,6 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from lagdyn.errors import RegressionError
+
+# Fit/threshold passes before stls gives up on a still-shrinking support.
+MAX_ITER = 20
 
 
 @dataclass
@@ -80,8 +80,6 @@ def stls(
     A: np.ndarray,
     b: np.ndarray,
     threshold: float,
-    max_iter: int = 20,
-    standardize: bool = True,
     rcond: float | None = None,
 ) -> SparseModel:
     """Sequential threshold least squares.
@@ -90,14 +88,8 @@ def stls(
         A: Feature matrix, shape (N, p).
         b: Target vector, shape (N,).
         threshold: Sparsity threshold; coefficients with magnitude
-            strictly below it are zeroed each pass. Applies to
-            standardized magnitudes when ``standardize`` is on and to
-            coefficients in the original column units otherwise.
-        max_iter: Iteration budget, >= 1.
-        standardize: Scale columns to unit RMS before solving and
-            thresholding. Off, the solve runs on the raw columns, so the
-            minimum-norm tie-break for near-dependent columns and the
-            threshold both act in the units the coefficients are reported in.
+            strictly below it are zeroed each pass, in the original column
+            units.
         rcond: Singular-value cutoff forwarded to the least-squares kernel.
             Near-dependent column combinations below the cutoff are not
             inverted, which keeps noise in the targets from inflating
@@ -111,26 +103,18 @@ def stls(
     A, b = _validate(A, b)
     if threshold < 0:
         raise RegressionError("threshold must be non-negative")
-    if max_iter < 1:
-        raise RegressionError("max_iter must be at least 1")
-    p = A.shape[1]
     # All-zero columns stay out of every solve: they keep coefficient 0 and
     # never enter the active set.
-    usable = A.any(axis=0)
-    scale = np.sqrt(np.mean(A * A, axis=0)) if standardize else np.ones(p)
-    usable &= scale > 0.0
-    As = A[:, usable] / scale[usable]
-
-    active = np.ones(int(usable.sum()), dtype=bool)
-    coef = np.zeros(active.size)
+    active = A.any(axis=0)
+    coefficients = np.zeros(A.shape[1])
     iterations = 0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         iterations += 1
-        coef[:] = 0.0
+        coefficients[:] = 0.0
         if active.any():
-            coef[active] = least_squares(As[:, active], b, rcond=rcond)
-        small = active & (np.abs(coef) < threshold)
+            coefficients[active] = least_squares(A[:, active], b, rcond=rcond)
+        small = active & (np.abs(coefficients) < threshold)
         if not small.any():
             converged = True
             break
@@ -138,17 +122,14 @@ def stls(
 
     # Refit on the final support; identical to the last pass when converged,
     # debiases the last prune otherwise.
-    coef[:] = 0.0
+    coefficients[:] = 0.0
     if active.any():
-        coef[active] = least_squares(As[:, active], b, rcond=rcond)
+        coefficients[active] = least_squares(A[:, active], b, rcond=rcond)
 
-    coefficients = np.zeros(p)
-    coefficients[np.flatnonzero(usable)] = coef / scale[usable]
-    active_idx = np.flatnonzero(usable)[active]
     residual = float(np.linalg.norm(A @ coefficients - b))
     return SparseModel(
         coefficients=coefficients,
-        active_set=[int(i) for i in active_idx],
+        active_set=[int(i) for i in np.flatnonzero(active)],
         iterations_used=iterations,
         residual_norm=residual,
         converged=converged,

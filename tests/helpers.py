@@ -405,3 +405,47 @@ def dense_el_features(lib, ensemble) -> tuple[np.ndarray, list[int]]:
                 live.add(j)
     sums /= ensemble.n_real
     return sums.T, sorted(live)
+
+
+def dense_diffusion_features(lib, ensemble) -> tuple[np.ndarray, list[int]]:
+    """Diffusion feature column of every basis, (N_t - 1, m).
+
+    The dense literal-means matrix over the whole library, kept as the
+    reference for discovery.discover_diffusion: the target's own squared
+    displacement is the constant 1, squares of other coordinates are
+    exactly zero columns, and every other basis is its literal ensemble
+    mean (realization-sum columns for plain displacements, the
+    per-realization loop for the rest, one division by N). Returns the
+    columns and the indices of the bases that can be nonzero.
+    """
+    def square(b):
+        return b.form == "monomial" and not b.on_velocity and b.degree == 2
+
+    def plain(b):
+        return b.form == "monomial" and not b.on_velocity and b.degree == 1
+
+    dx = None
+    if ensemble.spatial_grid is not None:
+        dx = float(ensemble.spatial_grid[1] - ensemble.spatial_grid[0])
+    rows = ensemble.n_steps - 1
+    bases = lib.bases
+    acc = np.zeros((rows, len(bases)))
+    total = ensemble.displacement_sum()
+    for j, basis in enumerate(bases):
+        if plain(basis):
+            acc[:, j] = total[basis.coords[0], :rows]
+    others = [j for j, b in enumerate(bases) if not (square(b) or plain(b))]
+    for k in range(ensemble.n_real):
+        u, v = ensemble.realization(k)
+        for j in others:
+            acc[:, j] += library.eval_basis(bases[j], u, v, dx=dx)[:rows]
+    acc /= ensemble.n_real
+    live = []
+    for j, basis in enumerate(bases):
+        if square(basis):
+            own = basis.coords == (lib.target_coord,)
+            acc[:, j] = 1.0 if own else 0.0
+            if not own:
+                continue
+        live.append(j)
+    return acc, live

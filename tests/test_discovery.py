@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import helpers
+from lagdyn import bench
 from lagdyn import discovery as dv
 from lagdyn import library as lb
-from lagdyn import sim
-from lagdyn.errors import ConfigError, UnsupportedFormError
+from lagdyn import regression, sim
+from lagdyn.errors import (ConfigError, LagdynError, RegressionError,
+                           UnsupportedFormError)
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +378,74 @@ class TestSelfConsistency:
         diff2 = dv.discover_diffusion(ens, again, glib, 0.3, rcond=1e-4)
         assert diff2.equations[0].active_labels == ("X^2",)
         assert diff2.equations[0].gain == pytest.approx(g_hat, rel=0.02)
+
+
+@pytest.mark.parametrize("name, n_real, t_f", [
+    ("wave", 3, 0.02), ("beam", 2, 0.02), ("3dof", 3, 0.01),
+    ("harmonic", 3, 0.05),
+])
+def test_diffusion_features_are_the_live_dense_columns(name, n_real, t_f,
+                                                       monkeypatch):
+    # Every probe (fields) or coordinate (discrete systems), on a training
+    # record: the features that reach stls are bitwise the dense
+    # reference's nonzero-capable columns in library order, every column
+    # left out is exactly zero, and the fit keeps the same labels with the
+    # same coefficients (so the same gains, or the same error).
+    spec = sim.benchmark_spec(name)
+    config = bench.DEFAULT_CONFIGS[name]
+    dt = bench.training_protocol(spec, config)[0]
+    libs, glibs = bench.discovery_libraries(name, spec, config)
+    rows = dv.training_rows(libs, glibs, spec.dim)
+    ens = sim.generate_ensemble(spec, dt, t_f, n_real, base_seed=17,
+                                rows=rows)
+    lag = bench.true_models(name, spec, config)[0]
+    calls = []
+
+    def recording_stls(A, b, threshold, rcond=None):
+        model = regression.stls(A, b, threshold, rcond=rcond)
+        calls.append((A, b, model))
+        return model
+
+    monkeypatch.setattr(dv, "stls", recording_stls)
+    for lam in (config.lambda_diffusion, 1e9):
+        calls.clear()
+        try:
+            outcome = dv.discover_diffusion(ens, lag, glibs, lam,
+                                            rcond=config.rcond_diffusion)
+        except LagdynError as exc:
+            outcome = exc
+        fitted = []
+        for lib, (A, b, model) in zip(glibs, calls):
+            dense, live = helpers.dense_diffusion_features(lib, ens)
+            assert A.tobytes() == dense[:, live].tobytes()
+            dropped = sorted(set(range(lib.size)) - set(live))
+            assert np.all(dense[:, dropped] == 0.0)
+            reference = regression.stls(dense, b, lam,
+                                        rcond=config.rcond_diffusion)
+            assert [live[j] for j in model.active_set] == reference.active_set
+            assert (model.coefficients[model.active_set].tobytes()
+                    == reference.coefficients[reference.active_set].tobytes())
+            fitted.append((lib, reference))
+        # The reference outcome of the last fit: the error the dense fit
+        # raises, or every coordinate's labels and squared gain.
+        lib, reference = fitted[-1]
+        own = lib.bases.index(next(
+            b for b in lib.bases if b.form == "monomial" and b.degree == 2
+            and not b.on_velocity and b.coords == (lib.target_coord,)))
+        bad = [lib.labels[j] for j in reference.active_set if j != own]
+        if bad:
+            assert isinstance(outcome, UnsupportedFormError)
+            assert str(outcome).endswith(str(bad))
+            continue
+        if reference.active_set and reference.coefficients[own] < 0.0:
+            assert isinstance(outcome, RegressionError)
+            continue
+        assert len(fitted) == len(outcome.equations)
+        for eq, (lib, reference) in zip(outcome.equations, fitted):
+            assert eq.active_labels == tuple(
+                lib.labels[j] for j in reference.active_set)
+            beta = reference.coefficients[reference.active_set]
+            assert eq.beta == (float(beta[-1]) if beta.size else 0.0)
 
 
 class TestFieldDiscovery:

@@ -480,10 +480,10 @@ def test_el_features_are_the_live_dense_columns(name, n_real, t_f):
         assert np.all(dense[:, dropped] == 0.0)
         rest = [j for j in range(lib.size) if j != kinetic]
         for lam in (config.lambda_lagrangian, 0.0):
-            model = discovery.stls(features, -label, lam, standardize=False,
+            model = discovery.stls(features, -label, lam,
                                    rcond=config.rcond_lagrangian)
             reference = discovery.stls(np.delete(dense, kinetic, axis=1),
-                                       -label, lam, standardize=False,
+                                       -label, lam,
                                        rcond=config.rcond_lagrangian)
             assert [names[j] for j in model.active_set] == [
                 lib.labels[rest[j]] for j in reference.active_set]

@@ -86,33 +86,19 @@ class TestStls:
         assert model.coefficients[1] == pytest.approx(2.0, abs=1e-10)
         assert model.coefficients[0] == 0.0 and model.coefficients[2] == 0.0
 
-    @pytest.mark.parametrize("standardize", [True, False])
     @pytest.mark.parametrize("threshold", [0.0, 0.3])
-    def test_zero_column_changes_no_coefficient_bit(self, standardize,
-                                                   threshold):
+    def test_zero_column_changes_no_coefficient_bit(self, threshold):
         rng = np.random.default_rng(11)
         A = rng.normal(size=(60, 4))
         b = A @ np.array([1.5, 0.0, -0.7, 0.02]) + 0.01 * rng.normal(size=60)
         padded = np.column_stack([A, np.zeros(60)])
-        base = stls(A, b, threshold, standardize=standardize)
-        model = stls(padded, b, threshold, standardize=standardize)
+        base = stls(A, b, threshold)
+        model = stls(padded, b, threshold)
         assert np.array_equal(model.coefficients[:4], base.coefficients)
         assert model.coefficients[4] == 0.0
         assert model.active_set == base.active_set
         assert 4 not in model.active_set
         assert model.residual_norm == base.residual_norm
-
-    def test_active_coefficients_exceed_threshold_standardized(self):
-        rng = np.random.default_rng(9)
-        A = rng.normal(size=(200, 8))
-        b = A @ np.array([5.0, 0.0, -3.0, 0.0, 0.0, 1.5, 0.0, 0.0])
-        b += 0.01 * rng.normal(size=200)
-        lam = 1.0
-        model = stls(A, b, threshold=lam)
-        scale = np.sqrt(np.mean(A * A, axis=0))
-        standardized = model.coefficients * scale
-        for idx in model.active_set:
-            assert abs(standardized[idx]) >= lam
 
     def test_idempotence_on_active_columns(self):
         rng = np.random.default_rng(13)
@@ -153,23 +139,21 @@ class TestStls:
         A = rng.normal(size=(40, 6)) * np.array([1.0, 50.0, 0.1, 3.0, 1.0, 8.0])
         b = rng.normal(size=40)
         dense = least_squares(A, b)
-        model = stls(A, b, threshold=0.0, standardize=False)
+        model = stls(A, b, threshold=0.0)
         assert np.linalg.norm(model.coefficients - dense) <= 1e-10 * np.linalg.norm(
             dense
         )
 
     def test_raw_mode_thresholds_original_units(self):
         # col1 carries a physically tiny coefficient on a huge-RMS column:
-        # its standardized magnitude (0.001 * 1000 = 1) survives lam = 0.5,
-        # its raw magnitude does not. Raw mode must prune it.
+        # its contribution to b is as large as a unit-coefficient column's,
+        # but its raw magnitude (0.001) is below lam = 0.5, so it is pruned.
         rng = np.random.default_rng(29)
         col0 = rng.normal(size=300)
         col1 = 1000.0 * rng.normal(size=300)
         A = np.column_stack([col0, col1])
         b = 5.0 * col0 + 0.001 * col1
-        standardized = stls(A, b, threshold=0.5)
-        raw = stls(A, b, threshold=0.5, standardize=False)
-        assert standardized.active_set == [0, 1]
+        raw = stls(A, b, threshold=0.5)
         assert raw.active_set == [0]
         assert raw.coefficients[0] == pytest.approx(5.0, rel=0.01)
 
@@ -192,7 +176,7 @@ class TestStls:
         col = rng.normal(size=200)
         A = np.column_stack([col, col + 1e-7 * rng.normal(size=200)])
         b = 2.0 * col + 0.02 * rng.normal(size=200)
-        model = stls(A, b, threshold=0.0, standardize=False, rcond=1e-3)
+        model = stls(A, b, threshold=0.0, rcond=1e-3)
         dense = least_squares(A, b, rcond=1e-3)
         assert np.allclose(model.coefficients, dense, atol=1e-12)
 
@@ -205,8 +189,6 @@ class TestStls:
         b = np.ones(3)
         with pytest.raises(RegressionError):
             stls(A, b, threshold=-1.0)
-        with pytest.raises(RegressionError):
-            stls(A, b, threshold=0.1, max_iter=0)
 
     def test_result_type_fields(self):
         model = stls(np.eye(2), np.array([1.0, 0.0]), threshold=0.0)
@@ -229,22 +211,22 @@ def _problems(draw):
 
 
 class TestStlsProperties:
-    @given(_problems(), st.floats(0.0, 2.0), st.booleans())
-    def test_support_invariants(self, problem, threshold, standardize):
+    @given(_problems(), st.floats(0.0, 2.0))
+    def test_support_invariants(self, problem, threshold):
         A, b = problem
-        model = stls(A, b, threshold, standardize=standardize)
+        model = stls(A, b, threshold)
         zero_cols = np.flatnonzero(~A.any(axis=0))
         assert not set(zero_cols) & set(model.active_set)
         outside = np.setdiff1d(np.arange(A.shape[1]), model.active_set)
         assert np.all(model.coefficients[outside] == 0.0)
-        if model.converged and not standardize:
+        if model.converged:
             kept = np.abs(model.coefficients[model.active_set])
             assert np.all(kept >= threshold)
 
-    @given(_problems(), st.booleans())
-    def test_zero_threshold_matches_least_squares(self, problem, standardize):
+    @given(_problems())
+    def test_zero_threshold_matches_least_squares(self, problem):
         A, b = problem
         dense = least_squares(A, b)
-        model = stls(A, b, 0.0, standardize=standardize)
+        model = stls(A, b, 0.0)
         assert (np.linalg.norm(model.coefficients - dense)
                 <= 1e-10 * np.linalg.norm(dense))
