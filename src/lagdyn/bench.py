@@ -119,15 +119,15 @@ def training_protocol(spec: sim.SystemSpec,
     return float(dt), float(t_f), int(n_real)
 
 
-def _probe_library_indices(spec: sim.SystemSpec,
-                           probe_nodes: tuple[int, ...]) -> list[int]:
-    """Positions of the probe nodes in the free-node library list."""
-    free = [i for i in range(spec.dim) if i not in spec.spatial.constrained]
-    positions = {node: j for j, node in enumerate(free)}
-    missing = [n for n in probe_nodes if n not in positions]
+def _probe_libraries(
+    libs: list[library.CandidateLibrary], probe_nodes: tuple[int, ...]
+) -> list[library.CandidateLibrary]:
+    """The libraries whose targets are the probe nodes, in probe order."""
+    by_target = {lib.target_coord: lib for lib in libs}
+    missing = [n for n in probe_nodes if n not in by_target]
     if missing:
         raise ConfigError(f"probe nodes not on the free grid: {missing}")
-    return [positions[n] for n in probe_nodes]
+    return [by_target[n] for n in probe_nodes]
 
 
 def true_models(
@@ -140,7 +140,7 @@ def true_models(
         terms = [dict(t) for t in _TRUE_DENSITY[name]]
     else:
         nodes = config.probe_nodes or FIELD_PROBE_NODES
-        selected = [libs[i] for i in _probe_library_indices(spec, nodes)]
+        selected = _probe_libraries(libs, nodes)
         pattern, coeff = _TRUE_FIELD_DENSITY[name]
         terms = [{pattern.format(node): coeff} for node in nodes]
     lag = discovery.LagrangianModel.from_terms(selected, terms)
@@ -158,9 +158,8 @@ def discovery_libraries(
     libs = library.build_lagrangian_library(name, spec.dim)
     glibs = library.build_diffusion_library(name, spec.dim)
     if config.probe_nodes is not None:
-        idx = _probe_library_indices(spec, config.probe_nodes)
-        libs = [libs[i] for i in idx]
-        glibs = [glibs[i] for i in idx]
+        libs = _probe_libraries(libs, config.probe_nodes)
+        glibs = _probe_libraries(glibs, config.probe_nodes)
     return libs, glibs
 
 
@@ -420,9 +419,9 @@ def prediction_comparison(
     eom: discovery.EquationsOfMotion,
     horizon: float,
     n_real: int,
+    dt: float,
+    training_window: float,
     base_seed: int = DEFAULT_SEED,
-    dt: float | None = None,
-    training_window: float | None = None,
 ) -> PredictionBundle:
     """Simulate truth and discovered dynamics on shared noise paths.
 
@@ -436,19 +435,15 @@ def prediction_comparison(
         eom: Discovered equations of motion.
         horizon: Final time, >= the training window.
         n_real: Realizations per side.
+        dt: Time step.
+        training_window: Training duration.
         base_seed: Ensemble seed shared by both sides.
-        dt: Time step (None: the spec's protocol step).
-        training_window: Training duration (None: the spec's protocol).
 
     Returns:
         PredictionBundle; on divergence of either side the series are
         truncated to the surviving prefix and the bundle carries the
         divergence marker.
     """
-    if dt is None:
-        dt = 1.0 / true_spec.params["sample_rate"]
-    if training_window is None:
-        training_window = true_spec.params["t_final"]
     if horizon < training_window - 1e-12:
         raise ConfigError("prediction horizon is shorter than the training window")
     pred_spec = discovered_spec(true_spec, eom)

@@ -3,8 +3,9 @@
 Subcommands: simulate (write a training ensemble), discover (fit models
 to an ensemble), bench (full benchmark reports). Settings come from an
 optional JSON config file; command-line flags override config values.
-Exit codes: 0 ok, 2 configuration error, 3 stability violation or
-divergence, 4 I/O failure, 5 discovery failure.
+Exit codes: 0 ok, 2 configuration error (a run too large to allocate
+included), 3 stability violation or divergence, 4 I/O failure, 5 discovery
+failure. Each failure prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -372,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,8 +24,11 @@ from lagdyn.library import (
     CandidateLibrary,
     basis_partials,
     basis_reads,
+    difference,
     el_transform,
     eval_basis,
+    monomial,
+    trig,
 )
 from lagdyn.regression import stls
 from lagdyn.sim import Ensemble, TrainingRecord
@@ -653,12 +656,6 @@ class EquationsOfMotion:
         return json.dumps(payload, sort_keys=True)
 
 
-def _mono_image_label(name: str, degree: int) -> str:
-    if degree == 0:
-        return "1"
-    return name if degree == 1 else f"{name}^{degree}"
-
-
 def _eom_terms_for(
     basis: BasisDescriptor, coeff: float, target: int,
     coordinates: dict[int, str],
@@ -668,46 +665,24 @@ def _eom_terms_for(
         return []
     if basis.form == "monomial" and not basis.on_velocity:
         d = basis.degree
-        name = coordinates[basis.coords[0]]
-        image = None
-        if d >= 2:
-            image = BasisDescriptor(
-                form="monomial", label=_mono_image_label(name, d - 1),
-                coords=basis.coords, degree=d - 1,
-            )
-        elif d == 1:
-            image = BasisDescriptor(form="constant", label="1")
-        return [EomTerm(
-            label=_mono_image_label(name, d - 1),
-            coefficient=-coeff * d,
-            image=image,
-        )]
+        coord = basis.coords[0]
+        image = monomial(coordinates[coord], coord, d - 1)
+        return [EomTerm(label=image.label, coefficient=-coeff * d, image=image)]
     if basis.form == "trig" and not basis.on_velocity:
         k = basis.frequency
-        name = coordinates[basis.coords[0]]
+        coord = basis.coords[0]
         flipped = "cos" if basis.trig == "sin" else "sin"
-        inner = name if int(k) == 1 else f"{int(k)}{name}"
-        label = f"{flipped}({inner})"
         sign = -1.0 if basis.trig == "sin" else 1.0
-        image = BasisDescriptor(
-            form="trig", label=label, coords=basis.coords, trig=flipped,
-            frequency=k,
-        )
-        return [EomTerm(label=label, coefficient=sign * coeff * k, image=image)]
+        image = trig(flipped, k, coordinates[coord], coord)
+        return [EomTerm(label=image.label, coefficient=sign * coeff * k,
+                        image=image)]
     if basis.form == "difference-monomial":
         a, b = basis.coords
         d = basis.degree
-        label = (
-            f"({coordinates[a]}-{coordinates[b]})"
-            if d == 2
-            else f"({coordinates[a]}-{coordinates[b]})^{d - 1}"
-        )
         sign = -1.0 if target == a else 1.0
-        image = BasisDescriptor(
-            form="difference-monomial", label=label, coords=(a, b),
-            degree=d - 1,
-        )
-        return [EomTerm(label=label, coefficient=sign * coeff * d, image=image)]
+        image = difference(coordinates, a, b, d - 1)
+        return [EomTerm(label=image.label, coefficient=sign * coeff * d,
+                        image=image)]
     if basis.form == "spatial-monomial" and basis.degree == 2:
         if basis.derivative_order == 1:
             # EL of a squared slope density is +2 times the Laplacian.
@@ -759,15 +734,9 @@ def derive_equations_of_motion(
             for term in _eom_terms_for(
                 basis, coeff, particle.target_coord, coordinates
             ):
-                if term.label in merged:
-                    prev = merged[term.label]
-                    merged[term.label] = EomTerm(
-                        label=term.label,
-                        coefficient=prev.coefficient + term.coefficient,
-                        image=prev.image,
-                    )
-                else:
-                    merged[term.label] = term
+                prev = merged.get(term.label)
+                merged[term.label] = term if prev is None else replace(
+                    prev, coefficient=prev.coefficient + term.coefficient)
         all_terms.append(tuple(merged[s] for s in sorted(merged)))
         names.append(coordinates[particle.target_coord])
     if diffusion is None:

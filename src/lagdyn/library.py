@@ -3,10 +3,14 @@
 A candidate Lagrangian (or diffusion potential) is a sparse combination of
 basis descriptors: monomials of positions and velocities, pairwise
 difference monomials, trigonometric terms, spatial-derivative monomials of
-field values, and absolute-value products. Every descriptor evaluates
-pointwise on trajectory samples, and its partial derivatives with respect
-to positions and velocities are available in closed form, so the
-Euler-Lagrange image of a whole library can be assembled over an ensemble:
+field values, and, in diffusion libraries only, absolute values and
+products. Each form has one constructor, which derives the label from the
+descriptor's fields; one rule (_targets) lists both builders' targets.
+Every descriptor evaluates pointwise on trajectory samples; the forms a
+Lagrangian library holds also have closed-form partial derivatives with
+respect to positions and velocities (the diffusion-only forms are never
+differentiated), so the Euler-Lagrange image of a whole library can be
+assembled over an ensemble:
 
     EL_i(D) = d/dt (dD/dv_i) - dD/du_i
 
@@ -32,17 +36,16 @@ from lagdyn import numdiff
 from lagdyn.errors import ConfigError, RegressionError
 from lagdyn.sim import Ensemble, TrainingRecord
 
-FORMS = (
+# The forms a Lagrangian library holds; only they have closed-form partials.
+_LAGRANGIAN_FORMS = (
     "constant",
     "kinetic",
     "monomial",
     "difference-monomial",
     "trig",
     "spatial-monomial",
-    "abs-product",
-    "abs",
-    "product",
 )
+FORMS = _LAGRANGIAN_FORMS + ("abs-product", "abs", "product")
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,85 @@ class CandidateLibrary:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(b.label for b in self.bases)
+
+
+# ---------------------------------------------------------------------------
+# Basis constructors: each derives its label from its fields
+# ---------------------------------------------------------------------------
+
+_CONSTANT = BasisDescriptor(form="constant", label="1")
+
+
+def monomial(name: str, coord: int, degree: int,
+             on_velocity: bool = False) -> BasisDescriptor:
+    """name^degree of one coordinate; labelled name at degree 1, and the
+    constant basis "1" at degree 0."""
+    if degree == 0:
+        return _CONSTANT
+    return BasisDescriptor(
+        form="monomial", label=name if degree == 1 else f"{name}^{degree}",
+        coords=(coord,), degree=degree, on_velocity=on_velocity,
+    )
+
+
+def trig(fn: str, freq: float, name: str, coord: int,
+         on_velocity: bool = False) -> BasisDescriptor:
+    """fn(freq * name) for fn sin or cos; labelled fn(name) at frequency 1,
+    fn(3name) at frequency 3."""
+    k = int(freq)
+    inner = name if k == 1 else f"{k}{name}"
+    return BasisDescriptor(
+        form="trig", label=f"{fn}({inner})", coords=(coord,), trig=fn,
+        frequency=float(freq), on_velocity=on_velocity,
+    )
+
+
+def difference(names: Sequence[str] | dict[int, str], a: int, b: int,
+               degree: int) -> BasisDescriptor:
+    """(u_a - u_b)^degree, with names[i] the name of coordinate i;
+    labelled (A-B) at degree 1, (A-B)^degree above."""
+    label = f"({names[a]}-{names[b]})"
+    if degree != 1:
+        label += f"^{degree}"
+    return BasisDescriptor(
+        form="difference-monomial", label=label, coords=(a, b), degree=degree,
+    )
+
+
+def _kinetic(vel_name: str, coord: int) -> BasisDescriptor:
+    return BasisDescriptor(form="kinetic", label=f"0.5*{vel_name}^2",
+                           coords=(coord,))
+
+
+def _spatial(order: int, node: int, degree: int) -> BasisDescriptor:
+    """Slope (order 1, uxN) or curvature (order 2, uxxN) at node N, raised
+    to degree."""
+    name = f"u{'x' * order}{node}"
+    return BasisDescriptor(
+        form="spatial-monomial", label=monomial(name, node, degree).label,
+        coords=(node,), degree=degree, derivative_order=order,
+    )
+
+
+def _product(pos_names: Sequence[str], vel_names: Sequence[str], a: int,
+             b: int, velocity_mask: tuple[bool, bool] = (False, False)
+             ) -> BasisDescriptor:
+    """Product of two coordinate series, labelled A*B."""
+    names = [(vel_names if on_v else pos_names)[c]
+             for c, on_v in zip((a, b), velocity_mask)]
+    return BasisDescriptor(
+        form="product", label="*".join(names), coords=(a, b),
+        velocity_mask=velocity_mask,
+    )
+
+
+def _abs(form: str, name: str, coord: int,
+         on_velocity: bool = False) -> BasisDescriptor:
+    """|x| (form abs) or x|x| (form abs-product)."""
+    label = f"|{name}|" if form == "abs" else f"{name}|{name}|"
+    return BasisDescriptor(
+        form=form, label=label, coords=(coord,), on_velocity=on_velocity,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +299,6 @@ def eval_basis(
     form = basis.form
     if form == "constant":
         return np.ones(displacement.shape[1])
-    if form == "kinetic":
-        return 0.5 * _series(basis, 0, displacement, velocity) ** 2
-    if form == "monomial":
-        return _series(basis, 0, displacement, velocity) ** basis.degree
-    if form == "difference-monomial":
-        a = _series(basis, 0, displacement, velocity)
-        b = _series(basis, 1, displacement, velocity)
-        return (a - b) ** basis.degree
-    if form == "trig":
-        x = _series(basis, 0, displacement, velocity)
-        fn = np.sin if basis.trig == "sin" else np.cos
-        return fn(basis.frequency * x)
     if form == "spatial-monomial":
         if dx is None:
             raise ConfigError(
@@ -243,16 +313,22 @@ def eval_basis(
         return _spatial_value(
             displacement, dx, basis.derivative_order, coord
         ) ** basis.degree
+    x = _series(basis, 0, displacement, velocity)
+    if form == "kinetic":
+        return 0.5 * x ** 2
+    if form == "monomial":
+        return x ** basis.degree
+    if form == "trig":
+        fn = np.sin if basis.trig == "sin" else np.cos
+        return fn(basis.frequency * x)
     if form == "abs-product":
-        x = _series(basis, 0, displacement, velocity)
         return x * np.abs(x)
     if form == "abs":
-        return np.abs(_series(basis, 0, displacement, velocity))
-    if form == "product":
-        a = _series(basis, 0, displacement, velocity)
-        b = _series(basis, 1, displacement, velocity)
-        return a * b
-    raise ConfigError(f"unknown basis form '{form}'")
+        return np.abs(x)
+    y = _series(basis, 1, displacement, velocity)
+    if form == "difference-monomial":
+        return (x - y) ** basis.degree
+    return x * y  # product
 
 
 def basis_partials(
@@ -264,51 +340,22 @@ def basis_partials(
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Analytic (dD/du_target, dD/dv_target) series for one realization.
 
-    Returns None in a slot to mean an identically zero derivative. For the
+    Returns None in a slot to mean an identically zero derivative. Only
+    the forms a Lagrangian library holds have partials. For the
     spatial-monomial form the position derivative is the node-summed
     density's variational derivative at the target, reported on the
     same-node basis only (zero for other nodes).
     """
     form = basis.form
-    if form == "constant":
+    if form not in _LAGRANGIAN_FORMS:
+        raise ConfigError(
+            f"basis '{basis.label}' has no closed-form partials ({form} form)"
+        )
+    if form == "constant" or target not in basis.coords:
         return None, None
     if form == "kinetic":
-        if basis.coords[0] != target:
-            return None, None
         return None, _series(basis, 0, displacement, velocity)
-    if form == "monomial":
-        if basis.coords[0] != target:
-            return None, None
-        x = _series(basis, 0, displacement, velocity)
-        d = basis.degree
-        grad = float(d) * x ** (d - 1) if d > 1 else np.ones_like(x)
-        return (None, grad) if basis.on_velocity else (grad, None)
-    if form == "difference-monomial":
-        a, b = basis.coords
-        if target != a and target != b:
-            return None, None
-        diff = (
-            _series(basis, 0, displacement, velocity)
-            - _series(basis, 1, displacement, velocity)
-        )
-        d = basis.degree
-        grad = float(d) * diff ** (d - 1) if d > 1 else np.ones_like(diff)
-        if target == b:
-            grad = -grad
-        return grad, None
-    if form == "trig":
-        if basis.coords[0] != target:
-            return None, None
-        x = _series(basis, 0, displacement, velocity)
-        k = basis.frequency
-        if basis.trig == "sin":
-            grad = k * np.cos(k * x)
-        else:
-            grad = -k * np.sin(k * x)
-        return (None, grad) if basis.on_velocity else (grad, None)
     if form == "spatial-monomial":
-        if basis.coords[0] != target:
-            return None, None
         if dx is None:
             raise ConfigError(
                 f"basis '{basis.label}' needs a grid spacing to differentiate"
@@ -319,31 +366,27 @@ def basis_partials(
             ),
             None,
         )
-    if form == "abs-product":
-        if basis.coords[0] != target:
-            return None, None
-        x = _series(basis, 0, displacement, velocity)
-        grad = 2.0 * np.abs(x)
-        return (None, grad) if basis.on_velocity else (grad, None)
-    if form == "abs":
-        if basis.coords[0] != target:
-            return None, None
-        x = _series(basis, 0, displacement, velocity)
-        grad = np.sign(x)
-        return (None, grad) if basis.on_velocity else (grad, None)
-    if form == "product":
-        pu = None
-        pv = None
-        for slot, other in ((0, 1), (1, 0)):
-            if basis.coords[slot] != target:
-                continue
-            grad = _series(basis, other, displacement, velocity)
-            if basis.velocity_mask[slot]:
-                pv = grad if pv is None else pv + grad
-            else:
-                pu = grad if pu is None else pu + grad
-        return pu, pv
-    raise ConfigError(f"unknown basis form '{form}'")
+    if form == "difference-monomial":
+        diff = (
+            _series(basis, 0, displacement, velocity)
+            - _series(basis, 1, displacement, velocity)
+        )
+        d = basis.degree
+        grad = float(d) * diff ** (d - 1) if d > 1 else np.ones_like(diff)
+        if target == basis.coords[1]:
+            grad = -grad
+        return grad, None
+    x = _series(basis, 0, displacement, velocity)
+    if form == "monomial":
+        d = basis.degree
+        grad = float(d) * x ** (d - 1) if d > 1 else np.ones_like(x)
+    else:
+        k = basis.frequency
+        if basis.trig == "sin":
+            grad = k * np.cos(k * x)
+        else:
+            grad = -k * np.sin(k * x)
+    return (None, grad) if basis.on_velocity else (grad, None)
 
 
 class _ReadLog:
@@ -462,78 +505,86 @@ def el_transform(
 # Library builders
 # ---------------------------------------------------------------------------
 
-_DISCRETE_KINDS = ("harmonic", "pendulum", "duffing", "3dof")
+# Particle count of each discrete benchmark class.
+_PARTICLES = {"harmonic": 1, "pendulum": 1, "duffing": 1, "3dof": 3}
 _FIELD_KINDS = ("wave", "beam")
 
-def _coord_names(n: int) -> tuple[list[str], list[str]]:
+
+def _targets(kind: str, coords: int) -> list[int]:
+    """Target coordinates of a kind's libraries, its coordinate count checked.
+
+    Every particle; every wave node except the two clamped ends; every
+    beam node except the root.
+    """
+    if kind in _PARTICLES:
+        if coords != _PARTICLES[kind]:
+            raise ConfigError(
+                f"'{kind}' has {_PARTICLES[kind]} coordinate(s), got {coords}"
+            )
+        return list(range(coords))
+    if kind not in _FIELD_KINDS:
+        raise ConfigError(f"unknown library kind '{kind}'")
+    if coords < 7:
+        raise ConfigError("field libraries need at least 7 grid nodes")
+    return list(range(1, coords - 1 if kind == "wave" else coords))
+
+
+def _coord_names(kind: str, n: int) -> tuple[list[str], list[str]]:
+    """Position and velocity names: X, Xd for one particle, X1, X1d, ...
+    for several, u0, ud0, ... on a grid."""
+    if kind in _FIELD_KINDS:
+        return [f"u{i}" for i in range(n)], [f"ud{i}" for i in range(n)]
     if n == 1:
         return ["X"], ["Xd"]
     return [f"X{i + 1}" for i in range(n)], [f"X{i + 1}d" for i in range(n)]
 
 
-def _mono_label(name: str, degree: int) -> str:
-    return name if degree == 1 else f"{name}^{degree}"
+def _libraries(
+    bases: Sequence[BasisDescriptor],
+    targets: Sequence[int],
+    vel_names: Sequence[str] | None = None,
+) -> list[CandidateLibrary]:
+    """One library per target over the shared bases; given velocity
+    names, each points at its target's kinetic basis."""
+    frozen = tuple(bases)
+    return [
+        CandidateLibrary(
+            bases=frozen,
+            target_coord=i,
+            kinetic_index=(None if vel_names is None
+                           else frozen.index(_kinetic(vel_names[i], i))),
+        )
+        for i in targets
+    ]
 
 
-def _trig_label(fn: str, freq: float, name: str) -> str:
-    k = int(freq)
-    inner = name if k == 1 else f"{k}{name}"
-    return f"{fn}({inner})"
-
-
-def _sde_lagrangian_bases(
+def _particle_lagrangian_bases(
     pos_names: Sequence[str],
     vel_names: Sequence[str],
     degree_cap: int,
     velocity_degrees: Sequence[int],
     pos_freqs: Sequence[int],
     vel_freqs: Sequence[int],
-    include_constant: bool,
     difference_pairs: Sequence[tuple[int, int]] = (),
     difference_degrees: Sequence[int] = (),
 ) -> list[BasisDescriptor]:
     n = len(pos_names)
     bases: list[BasisDescriptor] = []
-    if include_constant:
-        bases.append(BasisDescriptor(form="constant", label="1"))
-    for i in range(n):
-        bases.append(BasisDescriptor(
-            form="kinetic", label=f"0.5*{vel_names[i]}^2", coords=(i,)
-        ))
-    for i in range(n):
-        for d in range(1, degree_cap + 1):
-            bases.append(BasisDescriptor(
-                form="monomial", label=_mono_label(pos_names[i], d),
-                coords=(i,), degree=d,
-            ))
-    for i in range(n):
-        for d in velocity_degrees:
-            bases.append(BasisDescriptor(
-                form="monomial", label=_mono_label(vel_names[i], d),
-                coords=(i,), degree=d, on_velocity=True,
-            ))
-    for i in range(n):
-        for k in pos_freqs:
-            for fn in ("sin", "cos"):
-                bases.append(BasisDescriptor(
-                    form="trig", label=_trig_label(fn, k, pos_names[i]),
-                    coords=(i,), trig=fn, frequency=float(k),
-                ))
-    for i in range(n):
-        for k in vel_freqs:
-            for fn in ("sin", "cos"):
-                bases.append(BasisDescriptor(
-                    form="trig", label=_trig_label(fn, k, vel_names[i]),
-                    coords=(i,), trig=fn, frequency=float(k),
-                    on_velocity=True,
-                ))
+    for names, degrees, on_velocity in (
+            (pos_names, range(1, degree_cap + 1), False),
+            (vel_names, velocity_degrees, True)):
+        for i in range(n):
+            for d in degrees:
+                bases.append(monomial(names[i], i, d, on_velocity))
+    for names, freqs, on_velocity in ((pos_names, pos_freqs, False),
+                                      (vel_names, vel_freqs, True)):
+        for i in range(n):
+            for k in freqs:
+                for fn in ("sin", "cos"):
+                    bases.append(trig(fn, k, names[i], i, on_velocity))
     for a, b in difference_pairs:
         for d in difference_degrees:
-            label = f"({pos_names[a]}-{pos_names[b]})^{d}"
-            bases.append(BasisDescriptor(
-                form="difference-monomial", label=label, coords=(a, b),
-                degree=d,
-            ))
+            bases.append(difference(pos_names, a, b, d))
     return bases
 
 
@@ -542,56 +593,48 @@ def _scaled_nodes(n: int, fractions: Sequence[float]) -> list[int]:
 
 
 def _field_lagrangian_bases(
-    kind: str, n: int
-) -> tuple[list[BasisDescriptor], list[int]]:
-    bases: list[BasisDescriptor] = [BasisDescriptor(form="constant", label="1")]
+    kind: str, n: int, free: Sequence[int], pos_names: Sequence[str]
+) -> list[BasisDescriptor]:
+    bases: list[BasisDescriptor] = []
     if kind == "wave":
-        free = list(range(1, n - 1))
-    else:
-        free = list(range(1, n))
-    for i in free:
-        bases.append(BasisDescriptor(
-            form="kinetic", label=f"0.5*ud{i}^2", coords=(i,)
-        ))
-    if kind == "wave":
-        for i in free:
-            bases.append(BasisDescriptor(
-                form="spatial-monomial", label=f"ux{i}^2", coords=(i,),
-                degree=2, derivative_order=1,
-            ))
+        orders = (1,)
         quad_nodes = [i for i in free if i % 2 == 1]
         quartic_nodes = _scaled_nodes(n, (0.25, 0.49, 0.75))
         trig_nodes = _scaled_nodes(n, (0.33, 0.67))
     else:
-        for i in free:
-            bases.append(BasisDescriptor(
-                form="spatial-monomial", label=f"uxx{i}^2", coords=(i,),
-                degree=2, derivative_order=2,
-            ))
-        for i in free:
-            bases.append(BasisDescriptor(
-                form="spatial-monomial", label=f"ux{i}^2", coords=(i,),
-                degree=2, derivative_order=1,
-            ))
+        orders = (2, 1)
         quad_nodes = list(free)
         quartic_nodes = _scaled_nodes(
             n, tuple(0.05 + 0.1 * j for j in range(10))
         )
         trig_nodes = quartic_nodes
+    for order in orders:
+        for i in free:
+            bases.append(_spatial(order, i, 2))
     for i in quad_nodes:
-        bases.append(BasisDescriptor(
-            form="monomial", label=f"u{i}^2", coords=(i,), degree=2
-        ))
+        bases.append(monomial(pos_names[i], i, 2))
     for i in quartic_nodes:
-        bases.append(BasisDescriptor(
-            form="monomial", label=f"u{i}^4", coords=(i,), degree=4
-        ))
+        bases.append(monomial(pos_names[i], i, 4))
     for i in trig_nodes:
-        bases.append(BasisDescriptor(
-            form="trig", label=f"sin(3u{i})", coords=(i,), trig="sin",
-            frequency=3.0,
-        ))
-    return bases, free
+        bases.append(trig("sin", 3, pos_names[i], i))
+    return bases
+
+
+# Discrete compositions: position degrees 1..degree_cap, velocity degrees,
+# position and velocity trig frequencies, and for 3dof the neighbour
+# differences.
+_PARTICLE_TERMS = {
+    "harmonic": dict(degree_cap=3, velocity_degrees=(1, 3),
+                     pos_freqs=(1, 2, 3, 4, 5), vel_freqs=(1, 2, 3, 4)),
+    "pendulum": dict(degree_cap=3, velocity_degrees=(1, 3),
+                     pos_freqs=(1, 2, 3, 4, 5), vel_freqs=(1, 2, 3, 4)),
+    "duffing": dict(degree_cap=6, velocity_degrees=(1, 3, 4),
+                    pos_freqs=(3,), vel_freqs=(1,)),
+    "3dof": dict(degree_cap=3, velocity_degrees=(1, 3),
+                 pos_freqs=(1, 2), vel_freqs=(1, 2),
+                 difference_pairs=((1, 0), (2, 1)),
+                 difference_degrees=(2, 3, 4, 5)),
+}
 
 
 def build_lagrangian_library(kind: str, coords: int) -> list[CandidateLibrary]:
@@ -610,57 +653,18 @@ def build_lagrangian_library(kind: str, coords: int) -> list[CandidateLibrary]:
     Returns:
         List of per-target CandidateLibrary objects.
     """
-    if kind not in _DISCRETE_KINDS + _FIELD_KINDS:
-        raise ConfigError(f"unknown library kind '{kind}'")
-
+    targets = _targets(kind, coords)
+    pos_names, vel_names = _coord_names(kind, coords)
+    # The coupled 3dof library has no constant basis.
+    bases = [] if kind == "3dof" else [_CONSTANT]
+    for i in targets:
+        bases.append(_kinetic(vel_names[i], i))
     if kind in _FIELD_KINDS:
-        if coords < 7:
-            raise ConfigError("field libraries need at least 7 grid nodes")
-        bases, free = _field_lagrangian_bases(kind, coords)
-        frozen = tuple(bases)
-        labels = [b.label for b in frozen]
-        libs = []
-        for i in free:
-            libs.append(CandidateLibrary(
-                bases=frozen,
-                target_coord=i,
-                kinetic_index=labels.index(f"0.5*ud{i}^2"),
-            ))
-        return libs
-
-    expected_coords = {"harmonic": 1, "pendulum": 1, "duffing": 1, "3dof": 3}
-    if coords != expected_coords[kind]:
-        raise ConfigError(
-            f"'{kind}' has {expected_coords[kind]} coordinate(s), got {coords}"
-        )
-    defaults = {
-        "harmonic": dict(degree_cap=3, velocity_degrees=(1, 3),
-                         pos_freqs=(1, 2, 3, 4, 5), vel_freqs=(1, 2, 3, 4),
-                         include_constant=True),
-        "pendulum": dict(degree_cap=3, velocity_degrees=(1, 3),
-                         pos_freqs=(1, 2, 3, 4, 5), vel_freqs=(1, 2, 3, 4),
-                         include_constant=True),
-        "duffing": dict(degree_cap=6, velocity_degrees=(1, 3, 4),
-                        pos_freqs=(3,), vel_freqs=(1,),
-                        include_constant=True),
-        "3dof": dict(degree_cap=3, velocity_degrees=(1, 3),
-                     pos_freqs=(1, 2), vel_freqs=(1, 2),
-                     include_constant=False,
-                     difference_pairs=((1, 0), (2, 1)),
-                     difference_degrees=(2, 3, 4, 5)),
-    }[kind]
-    pos_names, vel_names = _coord_names(coords)
-    bases = _sde_lagrangian_bases(pos_names, vel_names, **defaults)
-    frozen = tuple(bases)
-    labels = [b.label for b in frozen]
-    return [
-        CandidateLibrary(
-            bases=frozen,
-            target_coord=i,
-            kinetic_index=labels.index(f"0.5*{vel_names[i]}^2"),
-        )
-        for i in range(coords)
-    ]
+        bases += _field_lagrangian_bases(kind, coords, targets, pos_names)
+    else:
+        bases += _particle_lagrangian_bases(pos_names, vel_names,
+                                            **_PARTICLE_TERMS[kind])
+    return _libraries(bases, targets, vel_names)
 
 
 def build_diffusion_library(kind: str, coords: int) -> list[CandidateLibrary]:
@@ -673,100 +677,40 @@ def build_diffusion_library(kind: str, coords: int) -> list[CandidateLibrary]:
         kind: Benchmark class name.
         coords: Number of coordinates.
     """
-    if kind not in _DISCRETE_KINDS + _FIELD_KINDS:
-        raise ConfigError(f"unknown library kind '{kind}'")
-
+    targets = _targets(kind, coords)
+    pos_names, vel_names = _coord_names(kind, coords)
+    # Degrees 1 and 2 of each target's displacement and a particle's velocity.
+    families = [(pos_names, False)]
+    if kind not in _FIELD_KINDS:
+        families.append((vel_names, True))
     bases: list[BasisDescriptor] = []
-    if kind in ("harmonic", "pendulum", "duffing"):
-        if coords != 1:
-            raise ConfigError(f"'{kind}' has 1 coordinate, got {coords}")
-        bases = [
-            BasisDescriptor(form="monomial", label="X", coords=(0,), degree=1),
-            BasisDescriptor(form="monomial", label="Xd", coords=(0,), degree=1,
-                            on_velocity=True),
-            BasisDescriptor(form="monomial", label="X^2", coords=(0,), degree=2),
-            BasisDescriptor(form="monomial", label="Xd^2", coords=(0,), degree=2,
-                            on_velocity=True),
-            BasisDescriptor(form="product", label="X*Xd", coords=(0, 0),
-                            velocity_mask=(False, True)),
-            BasisDescriptor(form="trig", label="sin(X)", coords=(0,),
-                            trig="sin", frequency=1.0),
-            BasisDescriptor(form="trig", label="cos(X)", coords=(0,),
-                            trig="cos", frequency=1.0),
-            BasisDescriptor(form="trig", label="sin(Xd)", coords=(0,),
-                            trig="sin", frequency=1.0, on_velocity=True),
-            BasisDescriptor(form="trig", label="cos(Xd)", coords=(0,),
-                            trig="cos", frequency=1.0, on_velocity=True),
-            BasisDescriptor(form="abs-product", label="X|X|", coords=(0,)),
-            BasisDescriptor(form="abs-product", label="Xd|Xd|", coords=(0,),
-                            on_velocity=True),
-            BasisDescriptor(form="abs", label="|X|", coords=(0,)),
+    for d in (1, 2):
+        for names, on_velocity in families:
+            for i in targets:
+                bases.append(monomial(names[i], i, d, on_velocity))
+    if kind == "wave":
+        mid = _scaled_nodes(coords, (0.5,))[0]
+        bases += [
+            monomial(vel_names[mid], mid, 1, on_velocity=True),
+            monomial(vel_names[mid], mid, 2, on_velocity=True),
+            _spatial(1, mid, 1),
+            _spatial(1, mid, 2),
+            trig("sin", 1, pos_names[mid], mid),
+            trig("cos", 1, vel_names[mid], mid, on_velocity=True),
         ]
-        targets = [0]
     elif kind == "3dof":
-        if coords != 3:
-            raise ConfigError(f"'3dof' has 3 coordinates, got {coords}")
-        pos_names, vel_names = _coord_names(3)
-        for i in range(3):
-            bases.append(BasisDescriptor(
-                form="monomial", label=pos_names[i], coords=(i,), degree=1))
-        for i in range(3):
-            bases.append(BasisDescriptor(
-                form="monomial", label=vel_names[i], coords=(i,), degree=1,
-                on_velocity=True))
-        for i in range(3):
-            bases.append(BasisDescriptor(
-                form="monomial", label=f"{pos_names[i]}^2", coords=(i,),
-                degree=2))
-        for i in range(3):
-            bases.append(BasisDescriptor(
-                form="monomial", label=f"{vel_names[i]}^2", coords=(i,),
-                degree=2, on_velocity=True))
-        for i in range(3):
-            bases.append(BasisDescriptor(
-                form="trig", label=f"sin({pos_names[i]})", coords=(i,),
-                trig="sin", frequency=1.0))
-        bases.append(BasisDescriptor(
-            form="product", label="X1*X2", coords=(0, 1),
-            velocity_mask=(False, False)))
-        bases.append(BasisDescriptor(
-            form="product", label="X2*X3", coords=(1, 2),
-            velocity_mask=(False, False)))
-        targets = [0, 1, 2]
-    else:
-        if coords < 7:
-            raise ConfigError("field libraries need at least 7 grid nodes")
-        n = coords
-        if kind == "wave":
-            free = list(range(1, n - 1))
-        else:
-            free = list(range(1, n))
-        for i in free:
-            bases.append(BasisDescriptor(
-                form="monomial", label=f"u{i}", coords=(i,), degree=1))
-        for i in free:
-            bases.append(BasisDescriptor(
-                form="monomial", label=f"u{i}^2", coords=(i,), degree=2))
-        if kind == "wave":
-            mid = _scaled_nodes(n, (0.5,))[0]
-            bases += [
-                BasisDescriptor(form="monomial", label=f"ud{mid}",
-                                coords=(mid,), degree=1, on_velocity=True),
-                BasisDescriptor(form="monomial", label=f"ud{mid}^2",
-                                coords=(mid,), degree=2, on_velocity=True),
-                BasisDescriptor(form="spatial-monomial", label=f"ux{mid}",
-                                coords=(mid,), degree=1, derivative_order=1),
-                BasisDescriptor(form="spatial-monomial", label=f"ux{mid}^2",
-                                coords=(mid,), degree=2, derivative_order=1),
-                BasisDescriptor(form="trig", label=f"sin(u{mid})",
-                                coords=(mid,), trig="sin", frequency=1.0),
-                BasisDescriptor(form="trig", label=f"cos(ud{mid})",
-                                coords=(mid,), trig="cos", frequency=1.0,
-                                on_velocity=True),
-            ]
-        targets = list(free)
-    frozen = tuple(bases)
-    return [
-        CandidateLibrary(bases=frozen, target_coord=i, kinetic_index=None)
-        for i in targets
-    ]
+        for i in targets:
+            bases.append(trig("sin", 1, pos_names[i], i))
+        bases.append(_product(pos_names, vel_names, 0, 1))
+        bases.append(_product(pos_names, vel_names, 1, 2))
+    elif kind in _PARTICLES:
+        bases.append(_product(pos_names, vel_names, 0, 0, (False, True)))
+        for names, on_velocity in ((pos_names, False), (vel_names, True)):
+            for fn in ("sin", "cos"):
+                bases.append(trig(fn, 1, names[0], 0, on_velocity))
+        bases += [
+            _abs("abs-product", pos_names[0], 0),
+            _abs("abs-product", vel_names[0], 0, on_velocity=True),
+            _abs("abs", pos_names[0], 0),
+        ]
+    return _libraries(bases, targets)

@@ -12,6 +12,7 @@ a SplitMix-style mix of (base_seed, k).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -1252,8 +1253,8 @@ def save_ensemble(ens: Ensemble, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(np.ascontiguousarray(ens.displacement, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ens.velocity, dtype="<f8").tobytes())
+        for block in (ens.displacement, ens.velocity):
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def load_ensemble(path: str | Path) -> Ensemble:
@@ -1276,15 +1277,19 @@ def load_ensemble(path: str | Path) -> Ensemble:
                      int(header["n_steps"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed container header in {path}") from exc
-        count = int(np.prod(shape))
-        payload = fh.read()
-    if len(payload) != 16 * count:
-        raise ConfigError(
-            f"truncated or oversized container {path}: {len(payload)} data "
-            f"bytes, header promises {16 * count}"
-        )
-    disp = np.frombuffer(payload, dtype="<f8", count=count)
-    vel = np.frombuffer(payload, dtype="<f8", count=count, offset=8 * count)
+        if min(shape) < 0:
+            raise ConfigError(f"malformed container header in {path}")
+        expected = 16 * shape[0] * shape[1] * shape[2]
+        size = os.fstat(fh.fileno()).st_size - len(header_line)
+        if size != expected:
+            raise ConfigError(
+                f"truncated or oversized container {path}: {size} data "
+                f"bytes, header promises {expected}"
+            )
+        disp, vel = np.empty(shape, dtype="<f8"), np.empty(shape, dtype="<f8")
+        for block in (disp, vel):
+            if fh.readinto(block) != block.nbytes:
+                raise ConfigError(f"container {path} was truncated while read")
     grid = header.get("spatial_grid")
     system = header.get("system")
     if system is not None and not isinstance(system, str):
@@ -1295,8 +1300,8 @@ def load_ensemble(path: str | Path) -> Ensemble:
             n_steps=shape[2],
             n_real=shape[0],
             coords=shape[1],
-            displacement=disp.reshape(shape).copy(),
-            velocity=vel.reshape(shape).copy(),
+            displacement=disp,
+            velocity=vel,
             spatial_grid=None if grid is None else np.asarray(grid, dtype=float),
             system=system,
         )

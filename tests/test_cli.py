@@ -201,6 +201,10 @@ BAD_INPUTS = [
     pytest.param(_foreign_container("beam", "wave"), 2,
                  "ensemble was simulated for system 'wave', not 'beam'",
                  id="discover-beam-on-wave-ensemble"),
+    # numpy refuses the 146 TiB record before touching memory.
+    pytest.param(_flags("simulate", "--system", "harmonic", "--t-f", "1e9",
+                        "--n-real", "2"),
+                 2, "Unable to allocate", id="run-too-large-to-allocate"),
 ]
 
 

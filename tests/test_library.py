@@ -1,5 +1,7 @@
 """Tests for candidate libraries and Euler-Lagrange feature assembly."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -145,7 +147,6 @@ def _fd_partials(basis, u, v, dx, target, h=1e-6):
 def test_partials_match_finite_differences():
     rng = np.random.default_rng(42)
     n_states = 100
-    # Magnitudes bounded away from zero keep |x| differentiable at the states.
     signs = rng.choice([-1.0, 1.0], size=(3, n_states))
     u = signs * rng.uniform(0.2, 1.0, size=(3, n_states))
     v = -signs * rng.uniform(0.2, 1.0, size=(3, n_states))
@@ -164,14 +165,6 @@ def test_partials_match_finite_differences():
                            frequency=3.0),
         lb.BasisDescriptor(form="trig", label="t2", coords=(2,), trig="cos",
                            frequency=2.0, on_velocity=True),
-        lb.BasisDescriptor(form="abs-product", label="a1", coords=(1,)),
-        lb.BasisDescriptor(form="abs-product", label="a2", coords=(0,),
-                           on_velocity=True),
-        lb.BasisDescriptor(form="abs", label="a3", coords=(2,)),
-        lb.BasisDescriptor(form="product", label="p1", coords=(0, 1),
-                           velocity_mask=(False, False)),
-        lb.BasisDescriptor(form="product", label="p2", coords=(1, 1),
-                           velocity_mask=(False, True)),
     ]
     for basis in bag:
         for target in range(3):
@@ -181,6 +174,10 @@ def test_partials_match_finite_differences():
             got_v = np.zeros(n_states) if pv is None else pv
             assert np.allclose(got_u, fd_u, rtol=1e-6, atol=1e-8), basis.label
             assert np.allclose(got_v, fd_v, rtol=1e-6, atol=1e-8), basis.label
+    # Diffusion-only forms are evaluated, never differentiated.
+    abs_basis = lb.BasisDescriptor(form="abs", label="|X|", coords=(0,))
+    with pytest.raises(ConfigError, match="no closed-form partials"):
+        lb.basis_partials(abs_basis, u, v, None, 0)
 
 
 def _density_sum(u, dx, order, degree):
@@ -326,6 +323,46 @@ def test_library_options_contract():
         lb.build_lagrangian_library("3dof", 2)
     with pytest.raises(ConfigError):
         lb.build_lagrangian_library("wave", 5)
+    with pytest.raises(ConfigError, match="unknown library kind"):
+        lb.build_diffusion_library("vortex", 1)
+    with pytest.raises(ConfigError, match="'3dof' has 3 coordinate"):
+        lb.build_diffusion_library("3dof", 2)
+    with pytest.raises(ConfigError, match="at least 7 grid nodes"):
+        lb.build_diffusion_library("wave", 5)
+
+
+# SHA-256 of each benchmark-size library's (bases, target, kinetic index)
+# reprs, computed before the builders were rewritten on the basis
+# constructors; Lagrangian before diffusion.
+PINNED_LIBRARIES = {
+    "harmonic": ("226eaeb9a9a83a3d28cced84af4b80f21cc2cf75c28e36c2513278e296b10bd6",
+                 "3060de54041275a0bdccb2f3f8fb80a76b2b8683de49a5891f9516ea7d6afbf1"),
+    "pendulum": ("226eaeb9a9a83a3d28cced84af4b80f21cc2cf75c28e36c2513278e296b10bd6",
+                 "3060de54041275a0bdccb2f3f8fb80a76b2b8683de49a5891f9516ea7d6afbf1"),
+    "duffing": ("c3e4672bfc9c219e223be75f9a37fc9c11af4c53acf35b404479500b9cd6b5fc",
+                "3060de54041275a0bdccb2f3f8fb80a76b2b8683de49a5891f9516ea7d6afbf1"),
+    "3dof": ("ed5129ea998e47fae75ba9b9cecbcfc5ebd7e078afbb1bb8fd670afbadfff597",
+             "35a6283da19be052d9c9c0f93031fd67491f5f8fdb9d81897c3c520dc41a4239"),
+    "wave": ("62a240980dd2e9796385cde7505befc13b7ff2880348f49ec09cc30489cbd68f",
+             "cba9205985eff602841ba5ef0404ed8774585e6a103e2df02be82079dfc28a4d"),
+    "beam": ("111ba0712cb478d05ef1ae23a3b12197d2a30fd8ab503a061afb81d13d961c0f",
+             "e0edb3bc4a5eef81305691d02fbdc3845fed6088d18f2ab3505d0988bedaf54e"),
+}
+
+
+def test_library_compositions_are_pinned():
+    digests = []
+    for kind, pinned in PINNED_LIBRARIES.items():
+        dim = sim.benchmark_spec(kind).dim
+        for build, want in zip((lb.build_lagrangian_library,
+                                lb.build_diffusion_library), pinned):
+            text = "\n".join(repr((lib.bases, lib.target_coord, lib.kinetic_index))
+                             for lib in build(kind, dim))
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == want, (kind, build.__name__)
+            digests.append(digest)
+    overall = hashlib.sha256("".join(digests).encode()).hexdigest()
+    assert overall.startswith("a530b1876d16463c")
 
 
 def test_candidate_library_validation():
